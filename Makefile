@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test race-hotpath race cover bench bench-smoke bench-baseline experiments fuzz cluster-soak stall-soak sim-soak audit-soak policy-soak epoch-soak shard-soak coalesce-soak examples clean
+.PHONY: all verify fmt build vet test race-hotpath race cover bench bench-smoke bench-baseline experiments fuzz cluster-soak stall-soak sim-soak audit-soak policy-soak epoch-soak shard-soak coalesce-soak examples clean
 
 all: build vet test race-hotpath
 
 # Tier-1 verify chain (ROADMAP.md): what must stay green on every change.
-verify: build vet test
+verify: fmt build vet test
+
+# gofmt gate: prints every file gofmt would rewrite and fails if any.
+fmt:
+	@gofmt -l .
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

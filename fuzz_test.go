@@ -127,47 +127,51 @@ func FuzzSessionOpen(f *testing.F) {
 // FuzzDistributedFrame covers the call-frame decoder behind the attested
 // channel: the plaintext the exporter parses after a record opens. The
 // invariant is no panic, and whatever decodes must re-encode to bytes that
-// decode to the same (span, budget, corr, op, data) tuple. Seeds mix frame
-// versions: pre-budget frames (flags 0 / frameTraced only), budget-bearing
-// frames, correlation-tagged v3 frames, truncated fields, and unknown
-// future flag bits.
+// decode to the same (span, budget, corr, op, data) tuple. Seeds mix the
+// optional fields (span, budget, taint) present and absent, truncated
+// fields, unknown future flag bits, and frames without the mandatory
+// correlation ID.
 func FuzzDistributedFrame(f *testing.F) {
-	untraced := distributed.EncodeRequest(core.Span{}, 0, "put", []byte("doc"))
-	traced := distributed.EncodeRequest(core.Span{Trace: 7, ID: 9}, 0, "get", nil)
-	budgeted := distributed.EncodeRequest(core.Span{}, 250*time.Millisecond, "put", []byte("doc"))
-	both := distributed.EncodeRequest(core.Span{Trace: 7, ID: 9}, time.Second, "get", nil)
+	untraced := distributed.AppendRequest(nil, distributed.Request{Corr: 1, Op: "put", Data: []byte("doc")})
+	traced := distributed.AppendRequest(nil, distributed.Request{
+		Span: core.Span{Trace: 7, ID: 9}, Corr: 2, Op: "get"})
+	budgeted := distributed.AppendRequest(nil, distributed.Request{
+		Budget: 250 * time.Millisecond, Corr: 3, Op: "put", Data: []byte("doc")})
+	both := distributed.AppendRequest(nil, distributed.Request{
+		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second, Corr: 4, Op: "get"})
 	f.Add(untraced)
 	f.Add(traced)
 	f.Add(budgeted)
 	f.Add(both)
 	f.Add([]byte{})
-	f.Add(untraced[:1])                       // flags only
-	f.Add(traced[:9])                         // truncated span context
-	f.Add(budgeted[:5])                       // truncated budget
-	f.Add(both[:20])                          // span ok, budget cut short
-	f.Add([]byte{0, 0, 9, 'o'})               // op length beyond frame
-	f.Add([]byte{1, 0, 0, 0, 0})              // traced flag, short span
-	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0})     // budget flag, 7-byte budget
-	f.Add(append([]byte{4}, untraced[1:]...)) // unknown future flag bit
+	f.Add(untraced[:1])                                  // flags only
+	f.Add(traced[:9])                                    // truncated span context
+	f.Add(budgeted[:5])                                  // truncated budget
+	f.Add(both[:20])                                     // span ok, budget cut short
+	f.Add(append(slices.Clone(untraced[:9]), 0, 9, 'o')) // op length beyond frame
+	f.Add([]byte{1, 0, 0, 0, 0})                         // traced flag, short span
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0})                // budget flag, 7-byte budget
+	f.Add(append([]byte{1 << 5}, untraced[1:]...))       // unknown future flag bit
 	// Mixed-fault shapes the simulation surfaces: ping frames (the health
 	// probe op), duplicated frames, bit-flipped budgets, and a frame whose
 	// every flag bit is set.
-	ping := distributed.EncodeRequest(core.Span{}, time.Millisecond, distributed.PingOp, nil)
+	ping := distributed.AppendRequest(nil, distributed.Request{
+		Budget: time.Millisecond, Corr: 5, Op: distributed.PingOp})
 	f.Add(ping)
 	f.Add(append(append([]byte{}, ping...), ping...)) // duplicated datagram
 	flipped := append([]byte{}, budgeted...)
 	flipped[len(flipped)-1] ^= 0x01 // the linkTamperer mutation
 	f.Add(flipped)
 	f.Add(append([]byte{0xff}, both[1:]...)) // all flag bits set
-	// Wire-v3 shapes: correlation-tagged requests. A zero ID is a real ID
-	// (HasCorr distinguishes it from a v2 frame); the truncation seeds cut
-	// inside the correlation field and at the span/budget/corr boundaries.
+	// Correlation IDs at the edges of their range (zero is a real ID); the
+	// truncation seeds cut inside the correlation field and at the
+	// span/budget/corr boundaries.
 	corr := distributed.AppendRequest(nil, distributed.Request{
-		Corr: 0x1122334455667788, HasCorr: true, Op: "put", Data: []byte("doc")})
+		Corr: 0x1122334455667788, Op: "put", Data: []byte("doc")})
 	vFull := distributed.AppendRequest(nil, distributed.Request{
 		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second,
-		Corr: ^uint64(0), HasCorr: true, Op: "get"})
-	zeroCorr := distributed.AppendRequest(nil, distributed.Request{HasCorr: true, Op: "get"})
+		Corr: ^uint64(0), Op: "get"})
+	zeroCorr := distributed.AppendRequest(nil, distributed.Request{Op: "get"})
 	f.Add(corr)
 	f.Add(vFull)
 	f.Add(zeroCorr)
@@ -179,18 +183,19 @@ func FuzzDistributedFrame(f *testing.F) {
 	// decoder demands canonical form (sorted, deduplicated, bounded) — a
 	// shuffled or duplicated label list must be rejected, never normalized.
 	tainted := distributed.AppendRequest(nil, distributed.Request{
-		Taint: []string{"ingress", "meter-identities"}, Op: "put", Data: []byte("doc")})
+		Taint: []string{"ingress", "meter-identities"}, Corr: 6, Op: "put", Data: []byte("doc")})
 	taintedFull := distributed.AppendRequest(nil, distributed.Request{
-		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second, Corr: 3, HasCorr: true,
+		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second, Corr: 3,
 		Taint: []string{"a", "b", "c"}, Op: "get"})
+	taintHead := tainted[:9] // taint and corr flags, then the correlation ID
 	f.Add(tainted)
 	f.Add(taintedFull)
-	f.Add(tainted[:2])                        // taint flag, count cut off
-	f.Add(tainted[:4])                        // cut inside the first label
-	f.Add(append([]byte{8}, 0))               // taint flag, zero label count
-	f.Add(append([]byte{8}, 17))              // count beyond maxTaintLabels
-	f.Add(append([]byte{8}, 2, 1, 'b', 1, 'a')) // unsorted labels
-	f.Add(append([]byte{8}, 2, 1, 'a', 1, 'a')) // duplicated labels
+	f.Add(taintHead)                                          // taint flag, count cut off
+	f.Add(tainted[:12])                                       // cut inside the first label
+	f.Add(append(slices.Clone(taintHead), 0))                 // taint flag, zero label count
+	f.Add(append(slices.Clone(taintHead), 17))                // count beyond maxTaintLabels
+	f.Add(append(slices.Clone(taintHead), 2, 1, 'b', 1, 'a')) // unsorted labels
+	f.Add(append(slices.Clone(taintHead), 2, 1, 'a', 1, 'a')) // duplicated labels
 	// Reply-frame shapes fed to the request decoder: the 8-byte correlation
 	// prefix of a pipelined reply lands where flags belong, including an ID
 	// no caller is parked on — decoders must reject, never panic.
@@ -206,7 +211,10 @@ func FuzzDistributedFrame(f *testing.F) {
 	coalHdr := distributed.AppendCoalHeader(nil, []uint64{1, 2, 3})
 	f.Add(coalHdr)
 	f.Add(append(append([]byte{}, coalHdr...), corr...)) // header backed by a frame
-	f.Add(corr) // the sub-frame format IS the plain v3 frame format (interop)
+	f.Add(corr)                                          // the sub-frame format IS the plain v3 frame format (interop)
+	// A frame without the correlation field — the retired v2 shape — must
+	// be rejected.
+	f.Add(append([]byte{0}, untraced[9:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := distributed.DecodeRequest(data)
 		if err != nil {
@@ -221,7 +229,7 @@ func FuzzDistributedFrame(f *testing.F) {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if req2.Span != req.Span || req2.Budget != req.Budget ||
-			req2.Corr != req.Corr || req2.HasCorr != req.HasCorr ||
+			req2.Corr != req.Corr ||
 			req2.Op != req.Op || !bytes.Equal(req2.Data, req.Data) {
 			t.Fatalf("round trip unstable: %+v vs %+v", req, req2)
 		}
@@ -255,21 +263,22 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	f.Add(many)
 	f.Add(dup)
 	f.Add([]byte{})
-	f.Add([]byte{0})                   // short count
-	f.Add([]byte{0, 0})                // zero count
-	f.Add([]byte{0xff, 0xff})          // count beyond MaxBatchReadings
-	f.Add([]byte{0, 2, 0, 1, 'x', 0, 0}) // count not backed by payload
-	f.Add(one[:3])                     // truncated at op length
-	f.Add(one[:5])                     // truncated mid-op
-	f.Add(many[:len(many)-1])          // truncated mid-data
-	f.Add(append(append([]byte{}, one...), 0))    // trailing byte
-	f.Add(append(append([]byte{}, many...), many...)) // duplicated batch payload
+	f.Add([]byte{0})                                            // short count
+	f.Add([]byte{0, 0})                                         // zero count
+	f.Add([]byte{0xff, 0xff})                                   // count beyond MaxBatchReadings
+	f.Add([]byte{0, 2, 0, 1, 'x', 0, 0})                        // count not backed by payload
+	f.Add(one[:3])                                              // truncated at op length
+	f.Add(one[:5])                                              // truncated mid-op
+	f.Add(many[:len(many)-1])                                   // truncated mid-data
+	f.Add(append(append([]byte{}, one...), 0))                  // trailing byte
+	f.Add(append(append([]byte{}, many...), many...))           // duplicated batch payload
 	f.Add([]byte{0, 1, 0, 5, 0, 'b', 'a', 't', 'c', 'h', 0, 0}) // reserved op
-	// Mixed-version confusion: whole request frames (v2 without and v3
-	// with correlation) fed where a batch payload belongs.
-	f.Add(distributed.EncodeRequest(core.Span{Trace: 7, ID: 9}, time.Second, "put", []byte("doc")))
+	// Framing confusion: whole request frames, one carrying a batch, fed
+	// where a batch payload belongs.
 	f.Add(distributed.AppendRequest(nil, distributed.Request{
-		Corr: 42, HasCorr: true, Op: distributed.BatchOp, Data: one}))
+		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second, Corr: 41, Op: "put", Data: []byte("doc")}))
+	f.Add(distributed.AppendRequest(nil, distributed.Request{
+		Corr: 42, Op: distributed.BatchOp, Data: one}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		canon, err := distributed.ReencodeBatch(data)
 		if err != nil {
@@ -299,7 +308,7 @@ func FuzzBatchFrameDecode(f *testing.F) {
 // plain frames fed to the coalesced parsers and vice versa.
 func FuzzCoalescedRecord(f *testing.F) {
 	plain := distributed.AppendRequest(nil, distributed.Request{
-		Corr: 7, HasCorr: true, Op: "put", Data: []byte("doc")})
+		Corr: 7, Op: "put", Data: []byte("doc")})
 	record := make([]byte, 40) // stand-in for sealed bytes behind the header
 	hdr1 := append(distributed.AppendCoalHeader(nil, []uint64{7}), record...)
 	hdrN := append(distributed.AppendCoalHeader(nil, []uint64{1, 2, 1 << 56}), record...)
@@ -310,11 +319,11 @@ func FuzzCoalescedRecord(f *testing.F) {
 	f.Add(body1)
 	f.Add(bodyN)
 	f.Add([]byte{})
-	f.Add([]byte{0xC3})                    // magic, no count
-	f.Add([]byte{0xC3, 0, 0})              // zero count
-	f.Add([]byte{0xC3, 0xff, 0xff})        // count beyond MaxCoalesce
-	f.Add(hdrN[:11])                       // truncated correlation table
-	f.Add(hdrN[:3+24])                     // table complete, record missing
+	f.Add([]byte{0xC3})             // magic, no count
+	f.Add([]byte{0xC3, 0, 0})       // zero count
+	f.Add([]byte{0xC3, 0xff, 0xff}) // count beyond MaxCoalesce
+	f.Add(hdrN[:11])                // truncated correlation table
+	f.Add(hdrN[:3+24])              // table complete, record missing
 	dup := append(distributed.AppendCoalHeader(nil, []uint64{5, 9}), record...)
 	binary.BigEndian.PutUint64(dup[3+8:], 5) // duplicate correlation IDs
 	f.Add(dup)
@@ -369,7 +378,7 @@ func FuzzPolicyDecode(f *testing.F) {
 	f.Add("taint ch op\n")
 	f.Add("allow r ch op when\n")
 	f.Add("frobnicate r ch op\n")
-	f.Add("taint ch op A,B\n")                                  // uppercase labels refused
+	f.Add("taint ch op A,B\n")                                     // uppercase labels refused
 	f.Add("deny r ch op when " + strings.Repeat("a,", 20) + "a\n") // over MaxLabels
 	f.Add("allow " + strings.Repeat("x", 100) + " ch op\n")        // over MaxTokenLen
 	f.Add(strings.Repeat("allow r ch op\n", 300))                  // over MaxRules (dup names too)

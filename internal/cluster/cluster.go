@@ -233,11 +233,6 @@ type Config struct {
 	// replica's stub for session lifecycle events. Nil leaves the fleet
 	// unjournaled.
 	Journal EventRecorder
-
-	// CoalesceMax caps each replica stub's adaptive coalescing window
-	// (0 = the stub default, 1 = coalescing off); passed through to
-	// distributed.StubConfig.CoalesceMax.
-	CoalesceMax int
 }
 
 // ReplicaSpec describes one replica to admit.
@@ -373,7 +368,6 @@ func (p *Pool) Admit(spec ReplicaSpec) error {
 		Journal:        p.cfg.Journal,
 		Actor:          p.cfg.Fleet + "/" + spec.Name,
 		Epoch:          p.hsEpoch.Load,
-		CoalesceMax:    p.cfg.CoalesceMax,
 	})
 	if err != nil {
 		return err

@@ -90,7 +90,8 @@ func (s *System) noteBudgetErr(err error, actor string, sp Span) {
 // released with ErrDeadline and the handler is ABANDONED: it runs to
 // completion, keeps the slot until then (admission accounting included),
 // and its node.deadline stays expired so residual outbound calls it makes
-// fail fast instead of fanning out further.
+// fail fast instead of fanning out further. A call abandoned while still
+// queued for the slot never runs at all.
 func (s *System) invokeGuarded(ctx context.Context, n *node, env Envelope, compromised bool, obs Observer) (Message, error) {
 	type result struct {
 		reply Message
@@ -99,17 +100,31 @@ func (s *System) invokeGuarded(ctx context.Context, n *node, env Envelope, compr
 	done := make(chan result, 1)
 	go func() {
 		defer n.admitted.Add(-1)
-		n.handleMu.Lock()
-		defer n.handleMu.Unlock()
-		reply, err := s.run(n, &env, compromised, obs)
-		if !env.Deadline.IsZero() {
-			// The handler finished: clear its budget so later work on this
-			// node (harness-driven calls between requests) does not run
-			// against a stale deadline. Still under the slot, so no later
-			// invocation can have installed its own budget yet.
-			n.deadline = time.Time{}
+		var r result
+		if !n.handleMu.TryLock() {
+			// Queued behind another handler: the budget may have run out
+			// (or the caller left) meanwhile. The caller then gets that
+			// verdict from the watchdog, and running the handler would
+			// apply work the caller was told failed. A call that finds
+			// the slot free skips the clock read: dispatch has just
+			// checked its budget. done is buffered, so the send below
+			// completes even with nobody left to receive it.
+			n.handleMu.Lock()
+			r.err = s.budgetErr(ctx, env.Deadline)
 		}
-		done <- result{reply, err}
+		defer n.handleMu.Unlock()
+		if r.err == nil {
+			r.reply, r.err = s.run(n, &env, compromised, obs)
+			if !env.Deadline.IsZero() {
+				// The handler finished: clear its budget so later work on
+				// this node (harness-driven calls between requests) does
+				// not run against a stale deadline. Still under the slot,
+				// so no later invocation can have installed its own budget
+				// yet.
+				n.deadline = time.Time{}
+			}
+		}
+		done <- r
 	}()
 	var expire <-chan time.Time
 	if !env.Deadline.IsZero() {

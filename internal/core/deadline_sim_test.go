@@ -144,6 +144,55 @@ func TestWatchdogAbandonsHungHandlerSim(t *testing.T) {
 	}
 }
 
+// TestWatchdogSkipsCallQueuedPastDeadlineSim: a guarded call queued
+// behind a wedged handler is released with ErrDeadline when the budget it
+// shares with the wedged call expires, and must never run once the slot
+// frees — its caller was already told it failed.
+func TestWatchdogSkipsCallQueuedPastDeadlineSim(t *testing.T) {
+	sys, clk := newSimSystem(t)
+	g := &simGate{name: "g", gate: make(chan struct{}), entered: make(chan struct{}, 8)}
+	if err := sys.Launch(g, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := clk.Now().Add(20 * time.Millisecond)
+	errs := make(chan error, 2)
+	call := func(op string) {
+		_, err := sys.DeliverDeadline("g", core.Message{Op: op}, core.Span{}, deadline)
+		errs <- err
+	}
+	go call("wedged")
+	<-g.entered // the first handler holds the slot
+	go call("queued")
+	clk.WaitTimers(2) // both watchdogs armed
+	clk.Advance(21 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, core.ErrDeadline) {
+			t.Fatalf("call %d: got %v, want ErrDeadline", i, err)
+		}
+	}
+	// Free the slot, then wait until both abandoned calls have left the
+	// component: with the admission limit at one, a probe is admitted only
+	// once nothing else holds or waits for the slot.
+	sys.SetAdmissionLimit(1)
+	close(g.gate)
+	for {
+		_, err := sys.DeliverDeadline("g", core.Message{Op: "probe"}, core.Span{}, clk.Now().Add(time.Hour))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, core.ErrOverloaded) {
+			t.Fatalf("probe: %v", err)
+		}
+		runtime.Gosched()
+	}
+	if n := g.handled.Load(); n != 2 {
+		t.Errorf("%d handlers ran, want 2 (the wedged call and the probe): the queued call ran after its caller timed out", n)
+	}
+}
+
 // TestAbandonedHandlerResidualCallsFailFastSim: outbound calls an
 // abandoned handler makes after its budget expired are refused with
 // ErrDeadline — the budget bounds the whole transitive call tree.

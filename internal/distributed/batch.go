@@ -201,27 +201,13 @@ func ReencodeBatch(b []byte) ([]byte, error) {
 	return AppendBatch(make([]byte, 0, len(b)), readings), nil
 }
 
-// executeBatch unpacks one decrypted batch invocation, fans its readings
-// into the exported component one at a time (the per-component handler
-// lock serializes them regardless), and seals a single reply carrying
-// per-reading status. A malformed batch payload fails the whole frame
-// with statusErr; once the payload parses, each reading succeeds or fails
-// on its own. The caller releases j's pooled buffer.
-func (e *Exporter) executeBatch(j *job) error {
-	msg, fp, herr := e.runBatch(j.req)
-	err := e.reply(j.ss, j.from, j.req, msg, herr)
-	if fp != nil {
-		putBuf(fp, msg.Data)
-	}
-	return err
-}
-
-// runBatch runs one batch request's readings and builds the reply payload
-// into a pooled buffer (returned for the caller to release after the reply
-// is sealed); a malformed payload returns the whole-frame error instead.
-// The single-record path (executeBatch) and coalesced sub-frames
-// (executeSub) share it.
-func (e *Exporter) runBatch(req Request) (core.Message, *[]byte, error) {
+// runBatch unpacks one batch request, fans its readings into the exported
+// component one at a time (the per-component handler lock serializes them
+// regardless), and builds the reply payload carrying per-reading status
+// into a pooled buffer, returned for the caller to release after the reply
+// is sealed. A malformed batch payload fails the whole frame instead; once
+// the payload parses, each reading succeeds or fails on its own.
+func (e *Exporter) runBatch(req *Request, now time.Time) (core.Message, *[]byte, error) {
 	n, rest, err := cutBatchCount(req.Data)
 	if err != nil {
 		return core.Message{}, nil, err
@@ -231,7 +217,7 @@ func (e *Exporter) runBatch(req Request) (core.Message, *[]byte, error) {
 		// One budget governs the whole batch: every reading is delivered
 		// against the same re-anchored deadline, so a batch cannot buy
 		// more server time than the single call it replaces.
-		deadline = e.clock().Add(req.Budget)
+		deadline = now.Add(req.Budget)
 	}
 	fp := getBuf()
 	out := append((*fp)[:0], byte(n>>8), byte(n))
@@ -249,7 +235,7 @@ func (e *Exporter) runBatch(req Request) (core.Message, *[]byte, error) {
 			Taint: req.Taint,
 		}
 		if !deadline.IsZero() {
-			// Guarded delivery clones the payload, same as execute: the
+			// Guarded delivery clones the payload, same as invoke: the
 			// watchdog may abandon the handler mid-read of a pooled buffer.
 			env.Deadline = deadline
 			env.Msg.Data = env.Msg.CloneData()

@@ -5,8 +5,10 @@
 // too: senders parked behind the flush leader enqueue plaintext sub-frames,
 // and the leader drains the queue and seals up to a window of them as a
 // single coalesced record — one AEAD pass, one auth tag, N requests. The
-// exporter unseals once, fans the sub-frames through its existing worker
-// pool, and coalesces the replies the same way on the return path.
+// exporter unseals once and runs the record as one job: its sub-frames
+// execute in header order on one goroutine (core serializes the exported
+// component's handlers anyway), and their replies go back the same way,
+// sealed as one coalesced reply record.
 //
 // Wire format of a coalesced record (all integers big-endian):
 //
@@ -676,35 +678,6 @@ func (s *Stub) demuxCoalesced(sess *securechan.Session, gen, ownCorr uint64, dg 
 	return res, mine, berr
 }
 
-// coalAssembly collects one coalesced request record's sub-replies on the
-// exporter. Sub-frames execute concurrently across the worker pool; each
-// writes its encoded reply frame into its own slot, and the last one to
-// finish seals the single coalesced reply. The decrypted plaintext buffer
-// is held until then because every sub-frame's Data aliases it.
-type coalAssembly struct {
-	ss    *sessState
-	from  string
-	corrs []uint64
-	slots [][]byte
-	bufs  []*[]byte
-	ob    *[]byte
-	raw   []byte
-	// pending counts sub-frames still executing; the executor that
-	// decrements it to zero flushes the assembly.
-	pending atomic.Int32
-}
-
-var asmPool = sync.Pool{New: func() any { return new(coalAssembly) }}
-
-// addSlot reserves the next reply slot for corr and returns its index.
-func (a *coalAssembly) addSlot(corr uint64) int {
-	a.corrs = append(a.corrs, corr)
-	bp := getBuf()
-	a.bufs = append(a.bufs, bp)
-	a.slots = append(a.slots, (*bp)[:0])
-	return len(a.slots) - 1
-}
-
 // coalFault, when armed, perturbs the next coalesced record the exporter
 // opens: "drop" removes one sub-frame entirely (its caller never gets a
 // sub-reply and resolves with a typed transport error on its next dry
@@ -736,13 +709,14 @@ func (e *Exporter) takeFault() (mode string, idx int) {
 	return mode, idx
 }
 
-// openCoalesced opens one coalesced request record and appends one job per
-// executable sub-frame to jobs. The header is the record's extra AD, so a
-// tampered count or correlation table fails the open. Ping sub-frames are
-// answered in their slots immediately; a sub-frame that fails to decode, or
-// whose embedded correlation ID disagrees with the AD-bound header, gets a
-// statusErr sub-reply addressed by the header entry — its siblings are
-// unaffected. When nothing is left to execute the reply seals here.
+// openCoalesced opens one coalesced request record and queues it as one
+// job. The header is the record's extra AD, so a tampered count or
+// correlation table fails the open. The body's framing is checked here
+// too — a count equal to the header's, a valid length for every
+// sub-frame, no trailing bytes — so a malformed record is dropped before
+// any of its sub-frames runs. The header is copied in front of the
+// plaintext because the datagram holding it is released before the job
+// runs.
 func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job) error {
 	hdr, sealed, n, err := cutCoalHeader(dg.Payload)
 	if err != nil {
@@ -751,193 +725,121 @@ func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job
 	}
 	ob := getBuf()
 	ss.openMu.Lock()
-	plain, oerr := ss.sess.OpenToAD((*ob)[:0], sealed, hdr)
+	raw, err := ss.sess.OpenToAD(append((*ob)[:0], hdr...), sealed, hdr)
 	ss.openMu.Unlock()
-	if oerr != nil {
+	dg.Release()
+	if err != nil {
 		// A coalesced record can never be hello-shaped (the magic byte sees
 		// to it), so unlike openRequest there is no session-reset path here:
 		// drop, preserving the failure.
-		dg.Release()
 		putBuf(ob, nil)
-		return fmt.Errorf("distributed: undecryptable coalesced record from %s: %w", dg.From, oerr)
+		return fmt.Errorf("distributed: undecryptable coalesced record from %s: %w", dg.From, err)
 	}
-	bn, rest, berr := cutCoalBodyCount(plain)
-	if berr == nil && bn != n {
-		berr = fmt.Errorf("coalesced body count %d for header of %d: %w", bn, n, ErrTransport)
+	bn, rest, err := cutCoalBodyCount(raw[len(hdr):])
+	if err == nil && bn != n {
+		err = fmt.Errorf("coalesced body count %d for header of %d: %w", bn, n, ErrTransport)
 	}
-	if berr != nil {
-		dg.Release()
-		putBuf(ob, plain)
-		return berr
-	}
-
-	asm := asmPool.Get().(*coalAssembly)
-	asm.ss, asm.from, asm.ob, asm.raw = ss, dg.From, ob, plain
-	asm.corrs, asm.slots, asm.bufs = asm.corrs[:0], asm.slots[:0], asm.bufs[:0]
-	fmode, fidx := e.takeFault()
-	if fmode != "" && n > 0 {
+	fmode, fidx := "", 0
+	if err == nil {
+		fmode, fidx = e.takeFault()
 		fidx = ((fidx % n) + n) % n
 	}
-
-	for i := 0; i < n; i++ {
+	for i := 0; err == nil && i < n; i++ {
 		var sub []byte
-		sub, rest, berr = cutCoalSub(rest)
-		if berr != nil {
-			break
-		}
-		corr := coalCorr(hdr, i)
-		if fmode == "drop" && i == fidx {
-			continue
-		}
-		if fmode == "tamper" && i == fidx {
+		sub, rest, err = cutCoalSub(rest)
+		if err == nil && fmode == "tamper" && i == fidx {
 			sub[0] |= 0x80 // an unknown frame-version bit: decode must reject
 		}
-		j := jobPool.Get().(*job)
-		j.req = Request{}
-		derr := decodeRequestInto(sub, &j.req, &e.ops)
-		if derr == nil && (!j.req.HasCorr || j.req.Corr != corr) {
-			derr = fmt.Errorf("sub-frame correlation disagrees with header: %w", ErrTransport)
+	}
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes after coalesced body: %w", len(rest), ErrTransport)
+	}
+	if err != nil {
+		putBuf(ob, raw)
+		return err
+	}
+	j := jobPool.Get().(*job)
+	j.ss, j.from, j.buf, j.raw, j.rec, j.drop = ss, dg.From, ob, raw, true, -1
+	if fmode == "drop" {
+		j.drop = fidx
+	}
+	*jobs = append(*jobs, j)
+	return nil
+}
+
+// executeRecord runs a coalesced record's sub-frames in header order on
+// the calling goroutine and seals their replies as one coalesced reply
+// record, under the request header minus any sub-frame the fault hook
+// dropped (a record that lost every sub-frame sends nothing). Every budget
+// is anchored on one clock read taken as the record starts, so time a
+// sub-frame spends behind its siblings is spent from its own budget, as it
+// would be in the caller's pipeline. A ping is answered inline without
+// reaching the component; a sub-frame that fails to decode, or whose
+// correlation ID disagrees with the AD-bound header, gets a statusErr
+// reply and its siblings are unaffected.
+func (e *Exporter) executeRecord(j *job) error {
+	now := e.clock()
+	n := int(j.raw[1])<<8 | int(j.raw[2])
+	hdr := j.raw[:3+8*n]
+	rest := j.raw[len(hdr)+2:] // past the body count, checked at open
+	hp, bp := getBuf(), getBuf()
+	rh := append((*hp)[:0], CoalMagic, 0, 0)
+	body := append((*bp)[:0], 0, 0)
+	for i := 0; i < n; i++ {
+		var sub []byte
+		sub, rest, _ = cutCoalSub(rest) // framing checked at open
+		if i == j.drop {
+			continue
 		}
+		corr := coalCorr(hdr, i)
+		rh = binary.BigEndian.AppendUint64(rh, corr)
+		var req Request
+		var msg core.Message
+		var bb *[]byte
+		herr := decodeRequestInto(sub, &req, &e.ops)
 		switch {
-		case derr != nil:
-			slot := asm.addSlot(corr)
-			frame := binary.BigEndian.AppendUint64(asm.slots[slot], corr)
-			frame = append(frame, statusErr)
-			frame = append(frame, derr.Error()...)
-			asm.slots[slot] = frame
-			jobPool.Put(j)
-		case j.req.Op == PingOp:
-			slot := asm.addSlot(corr)
-			asm.slots[slot] = appendReplyFrame(asm.slots[slot], j.req, core.Message{Op: PongOp}, nil)
-			jobPool.Put(j)
+		case herr != nil:
+		case req.Corr != corr:
+			herr = fmt.Errorf("sub-frame correlation disagrees with header: %w", ErrTransport)
+		case req.Op == PingOp:
+			msg = core.Message{Op: PongOp}
 		default:
-			j.ss, j.from, j.asm, j.idx = ss, dg.From, asm, asm.addSlot(corr)
-			*jobs = append(*jobs, j)
+			msg, bb, herr = e.invoke(&req, now)
+		}
+		body = binary.BigEndian.AppendUint32(body, 0) // length, patched below
+		mark := len(body)
+		body = appendReplyFrame(body, corr, msg, herr)
+		binary.BigEndian.PutUint32(body[mark-4:], uint32(len(body)-mark))
+		if bb != nil {
+			putBuf(bb, msg.Data)
 		}
 	}
-	if berr == nil && len(rest) != 0 {
-		berr = fmt.Errorf("%d trailing bytes after coalesced body: %w", len(rest), ErrTransport)
-	}
-	dg.Release()
-	if berr != nil {
-		// Malformed body: unwind the jobs we queued (none have run — the
-		// caller dispatches only after collect returns) and drop the record.
-		if nq := len(*jobs); nq > 0 {
-			kept := (*jobs)[:0]
-			for _, j := range *jobs {
-				if j.asm == asm {
-					jobPool.Put(j)
-					continue
-				}
-				kept = append(kept, j)
-			}
-			*jobs = kept
-		}
-		e.releaseAssembly(asm)
-		return berr
-	}
-	pending := 0
-	for _, j := range *jobs {
-		if j.asm == asm {
-			pending++
-		}
-	}
-	if pending == 0 {
-		return e.flushAssembly(asm)
-	}
-	asm.pending.Store(int32(pending))
-	return nil
-}
-
-// executeSub runs one coalesced sub-frame and writes its reply frame into
-// its assembly slot; the last sub-frame to finish seals the coalesced
-// reply. Mirrors execute, including batched-ingestion sub-frames.
-func (e *Exporter) executeSub(j *job) error {
-	asm, idx := j.asm, j.idx
-	var msg core.Message
-	var herr error
-	var bb *[]byte
-	if j.req.Op == BatchOp {
-		msg, bb, herr = e.runBatch(j.req)
-	} else {
-		env := core.Envelope{
-			Msg:   core.Message{Op: j.req.Op, Data: j.req.Data},
-			Span:  j.req.Span,
-			Taint: j.req.Taint,
-		}
-		if j.req.Budget > 0 {
-			// Same contract as execute: guarded delivery clones the payload
-			// because the watchdog may abandon the handler while it still
-			// reads the shared decrypted buffer.
-			env.Deadline = e.clock().Add(j.req.Budget)
-			env.Msg.Data = env.Msg.CloneData()
-		}
-		msg, herr = e.sys.DeliverEnvelope(e.target, env)
-	}
-	asm.slots[idx] = appendReplyFrame(asm.slots[idx], j.req, msg, herr)
-	if bb != nil {
-		putBuf(bb, msg.Data)
-	}
-	if asm.pending.Add(-1) == 0 {
-		return e.flushAssembly(asm)
-	}
-	return nil
-}
-
-// flushAssembly seals and transmits the coalesced reply: header (magic,
-// count, the slot correlation IDs) as extra AD, body of length-prefixed
-// reply frames, one AEAD pass for the lot. Assemblies that lost every
-// sub-frame (all dropped by fault) send nothing.
-func (e *Exporter) flushAssembly(asm *coalAssembly) error {
 	var err error
-	if len(asm.slots) > 0 {
-		rp := getBuf()
-		hdr := (*rp)[:0]
-		hdr = append(hdr, CoalMagic, byte(len(asm.corrs)>>8), byte(len(asm.corrs)))
-		for _, c := range asm.corrs {
-			hdr = binary.BigEndian.AppendUint64(hdr, c)
-		}
-		bp := getBuf()
-		body := append((*bp)[:0], byte(len(asm.slots)>>8), byte(len(asm.slots)))
-		for _, slot := range asm.slots {
-			body = binary.BigEndian.AppendUint32(body, uint32(len(slot)))
-			body = append(body, slot...)
-		}
+	if kept := (len(rh) - 3) / 8; kept > 0 {
+		rh[1], rh[2] = byte(kept>>8), byte(kept)
+		body[0], body[1] = byte(kept>>8), byte(kept)
 		var rec []byte
-		asm.ss.sendMu.Lock()
-		rec, err = asm.ss.sess.SealToAD(hdr, body, hdr)
+		j.ss.sendMu.Lock()
+		rec, err = j.ss.sess.SealToAD(rh, body, rh)
 		if err == nil {
-			err = e.ep.Send(asm.from, rec)
+			err = e.ep.Send(j.from, rec)
 		}
-		asm.ss.sendMu.Unlock()
-		putBuf(bp, body)
-		if rec == nil {
-			rec = hdr
+		j.ss.sendMu.Unlock()
+		if rec != nil {
+			rh = rec
 		}
-		putBuf(rp, rec)
 	}
-	e.releaseAssembly(asm)
+	putBuf(bp, body)
+	putBuf(hp, rh)
+	putBuf(j.buf, j.raw)
 	return err
 }
 
-// releaseAssembly returns an assembly's buffers to their pools.
-func (e *Exporter) releaseAssembly(asm *coalAssembly) {
-	for i, bp := range asm.bufs {
-		putBuf(bp, asm.slots[i])
-	}
-	putBuf(asm.ob, asm.raw)
-	corrs, slots, bufs := asm.corrs[:0], asm.slots[:0], asm.bufs[:0]
-	*asm = coalAssembly{corrs: corrs, slots: slots, bufs: bufs}
-	asmPool.Put(asm)
-}
-
-// appendReplyFrame appends one complete reply frame — correlation prefix
-// (when the request carried one), status byte, payload — to dst. The
-// single-record reply path and the coalesced slots share this encoding.
-func appendReplyFrame(dst []byte, req Request, msg core.Message, herr error) []byte {
-	if req.HasCorr {
-		dst = binary.BigEndian.AppendUint64(dst, req.Corr)
-	}
+// appendReplyFrame appends one complete reply frame — correlation prefix,
+// status byte, payload — to dst. The single-record reply path and
+// coalesced records share this encoding.
+func appendReplyFrame(dst []byte, corr uint64, msg core.Message, herr error) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, corr)
 	switch {
 	case errors.Is(herr, core.ErrDeadline):
 		dst = append(dst, statusDeadline)

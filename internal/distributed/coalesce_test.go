@@ -3,8 +3,9 @@ package distributed
 // Tests for wire-level frame coalescing: the coalesced record codec and
 // its canonical-form guarantees, the AD binding of the cleartext header,
 // the adaptive window controller's AIMD behavior on a virtual clock,
-// exporter-side sub-frame fault isolation, and the stub's send-side
-// coalescing under concurrent callers.
+// exporter-side sub-frame fault isolation, in-order execution of a record
+// under one budget anchor, and the stub's send-side coalescing under
+// concurrent callers.
 
 import (
 	"encoding/binary"
@@ -177,12 +178,16 @@ type coalClient struct {
 	// tamperHeader flips a bit in the sealed record's cleartext header
 	// before transmit.
 	tamperHeader bool
+	// truncateLast cuts the last two bytes off the body before sealing,
+	// leaving the final sub-frame's length prefix claiming bytes the body
+	// does not carry.
+	truncateLast bool
 }
 
 func newCoalClient(t *testing.T, f *fixture, name string) *coalClient {
 	t.Helper()
 	ep := f.net.Attach(name)
-	sess := v2Handshake(t, f, ep, name+"-hs")
+	sess := handshakeByHand(t, f, ep, name+"-hs")
 	return &coalClient{f: f, ep: ep, sess: sess}
 }
 
@@ -200,10 +205,13 @@ func (c *coalClient) call(t *testing.T, subs []coalSub) (replies map[uint64][]by
 		if s.frameCorr != 0 {
 			fcorr = s.frameCorr
 		}
-		frames[i] = AppendRequest(nil, Request{HasCorr: true, Corr: fcorr, Op: s.op, Data: s.data})
+		frames[i] = AppendRequest(nil, Request{Budget: s.budget, Corr: fcorr, Op: s.op, Data: s.data})
 	}
 	hdr := AppendCoalHeader(nil, corrs)
 	body := AppendCoalBody(nil, frames)
+	if c.truncateLast {
+		body = body[:len(body)-2]
+	}
 	rec, err := c.sess.SealToAD(hdr, body, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +259,10 @@ type coalSub struct {
 	// frameCorr, when non-zero, is embedded in the sub-frame instead of
 	// corr — the header/frame-mismatch tests use it.
 	frameCorr uint64
-	op        string
-	data      []byte
+	// budget, when positive, rides the sub-frame's budget field.
+	budget time.Duration
+	op     string
+	data   []byte
 }
 
 // TestCoalescedRequestRoundTrip hand-seals a two-frame coalesced record
@@ -407,6 +417,98 @@ func TestCoalescedPingSubFrame(t *testing.T) {
 	}
 	if r := replies[2]; len(r) == 0 || r[0] != statusOK {
 		t.Fatalf("sibling reply = % x, want statusOK", r)
+	}
+}
+
+// TestCoalescedRecordRunsInOrder alternates puts and gets of one key in
+// an eight-sub-frame record: every get must see the value the put just
+// before it wrote, because a record's sub-frames run in header order.
+func TestCoalescedRecordRunsInOrder(t *testing.T) {
+	f := newFixture(t, nil, false)
+	c := newCoalClient(t, f, "order")
+
+	var subs []coalSub
+	for i := 0; i < 4; i++ {
+		subs = append(subs,
+			coalSub{corr: uint64(2*i + 1), op: "put", data: []byte(fmt.Sprintf("a=%d", i))},
+			coalSub{corr: uint64(2*i + 2), op: "get", data: []byte("a")})
+	}
+	replies, ok, err := c.call(t, subs)
+	if err != nil || !ok || len(replies) != len(subs) {
+		t.Fatalf("serve = %v, replied = %v, %d replies", err, ok, len(replies))
+	}
+	for i := 0; i < 4; i++ {
+		r := replies[uint64(2*i+2)]
+		if len(r) == 0 || r[0] != statusOK {
+			t.Fatalf("get %d reply = % x, want statusOK", i, r)
+		}
+		if _, data, err := decodeCall(r[1:]); err != nil || string(data) != fmt.Sprint(i) {
+			t.Errorf("get after put a=%d read %q, %v", i, data, err)
+		}
+	}
+}
+
+// TestCoalescedRecordBudgetsShareOneAnchor stalls the first sub-frame of a
+// record past the 30ms budget both sub-frames carry. Both budgets were
+// anchored when the record started, so the put queued behind the stall is
+// refused with a deadline too — and must never apply once the stall
+// releases the component, because its caller was already told it failed.
+func TestCoalescedRecordBudgetsShareOneAnchor(t *testing.T) {
+	f := newFixture(t, nil, false)
+	c := newCoalClient(t, f, "anchor")
+
+	const budget = 30 * time.Millisecond
+	replies, ok, err := c.call(t, []coalSub{
+		{corr: 1, budget: budget, op: "stall"},
+		{corr: 2, budget: budget, op: "put", data: []byte("k=v")},
+	})
+	if err != nil || !ok {
+		t.Fatalf("serve = %v, replied = %v", err, ok)
+	}
+	for corr := uint64(1); corr <= 2; corr++ {
+		if r := replies[corr]; len(r) == 0 || r[0] != statusDeadline {
+			t.Errorf("sub-frame %d reply = % x, want statusDeadline", corr, r)
+		}
+	}
+	// Outlast the abandoned stall, then look for the refused put.
+	time.Sleep(150 * time.Millisecond)
+	replies, ok, err = c.call(t, []coalSub{{corr: 3, op: "get", data: []byte("k")}})
+	if err != nil || !ok {
+		t.Fatalf("serve = %v, replied = %v", err, ok)
+	}
+	if r := replies[3]; len(r) == 0 || r[0] != statusErr {
+		t.Fatalf("get k after a refused put = % x, want statusErr (no such doc)", r)
+	}
+}
+
+// TestCoalescedMalformedBodyRunsNothing truncates the third sub-frame of a
+// record of puts: the body's framing is checked before any sub-frame runs,
+// so the record gets no reply and none of its puts applies.
+func TestCoalescedMalformedBodyRunsNothing(t *testing.T) {
+	f := newFixture(t, nil, false)
+	c := newCoalClient(t, f, "malformed")
+
+	c.truncateLast = true
+	_, replied, _ := c.call(t, []coalSub{
+		{corr: 1, op: "put", data: []byte("a=1")},
+		{corr: 2, op: "put", data: []byte("b=2")},
+		{corr: 3, op: "put", data: []byte("c=3")},
+	})
+	if replied {
+		t.Fatal("exporter replied to a record with a truncated sub-frame")
+	}
+	c.truncateLast = false
+	replies, ok, err := c.call(t, []coalSub{
+		{corr: 4, op: "get", data: []byte("a")},
+		{corr: 5, op: "get", data: []byte("b")},
+	})
+	if err != nil || !ok {
+		t.Fatalf("serve = %v, replied = %v", err, ok)
+	}
+	for corr, r := range replies {
+		if len(r) == 0 || r[0] != statusErr {
+			t.Errorf("get %d after a dropped record = % x, want statusErr (no such doc)", corr, r)
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ var (
 )
 
 // WireVersion is the request-frame version this package emits. Version 3
-// added the frameCorr correlation field; v2 frames (no correlation) still
-// decode, so a pre-pipelining peer interoperates per request.
+// added the frameCorr correlation field, which every request frame must
+// carry: a frame without it is rejected.
 const WireVersion = 3
 
 // bufPool recycles the working buffers of the record hot path — request
@@ -171,11 +171,9 @@ const PongOp = "\x00pong"
 //     deadline is left, the receiver re-anchors it against its own clock.
 //     A relative duration crosses machines safely; absolute deadlines
 //     would need synchronized clocks.
-//   - frameCorr (v3): 8 bytes of caller-chosen correlation ID. The
-//     exporter echoes it as the reply frame's prefix, which is what lets
-//     replies complete out of order under pipelining. A request without
-//     the field gets an unprefixed reply, so a v2 peer talking to a v3
-//     exporter round-trips unchanged.
+//   - frameCorr (v3, mandatory): 8 bytes of caller-chosen correlation ID.
+//     The exporter echoes it as the reply frame's prefix, which is what
+//     lets replies complete out of order under pipelining.
 //   - frameTaint (v3): the invocation chain's accumulated policy taint —
 //     a count byte followed by length-prefixed labels, strictly
 //     increasing (sorted, deduplicated: the canonical form core's
@@ -185,8 +183,8 @@ const PongOp = "\x00pong"
 //     history enforceable across machines — a hop through the wire must
 //     not launder it.
 //
-// A pre-budget or pre-correlation peer emits frames without those bits and
-// they decode fine — the format is backward compatible by construction.
+// The span, budget, and taint fields are optional: a frame without those
+// bits decodes with the field zero.
 const (
 	frameTraced = 1 << 0
 	frameBudget = 1 << 1
@@ -213,11 +211,9 @@ type Request struct {
 	// (time.Now().Add(Budget)) and enforces it server-side.
 	Budget time.Duration
 
-	// Corr is the caller-chosen correlation ID echoed on the reply;
-	// HasCorr distinguishes a real ID (which may be any value, zero
-	// included) from a v2 frame without the field.
-	Corr    uint64
-	HasCorr bool
+	// Corr is the caller-chosen correlation ID echoed on the reply; any
+	// value, zero included, is a valid ID.
+	Corr uint64
 
 	// Taint is the chain's accumulated policy label set, sorted and
 	// deduplicated; nil on an untainted chain (the field is then elided
@@ -229,29 +225,17 @@ type Request struct {
 	Data []byte
 }
 
-// EncodeRequest builds one v2 request frame (no correlation ID). Exported
-// for the repo-root fuzz harness and for tooling that needs to speak the
-// wire format; production callers go through Stub/Exporter, which use
-// AppendRequest. A zero span and a non-positive budget each elide their
-// field entirely, so pre-budget decoders keep working until a budget
-// actually crosses the wire.
-func EncodeRequest(sp core.Span, budget time.Duration, op string, data []byte) []byte {
-	return AppendRequest(nil, Request{Span: sp, Budget: budget, Op: op, Data: data})
-}
-
 // AppendRequest appends one request frame to dst (allocation-free when dst
 // has spare capacity) and returns the extended slice. Fields are emitted
-// in flag-bit order; see the frame documentation above.
+// in flag-bit order; see the frame documentation above. A zero span, a
+// non-positive budget, and an empty taint set each elide their field.
 func AppendRequest(dst []byte, req Request) []byte {
-	var flags byte
+	flags := byte(frameCorr)
 	if req.Span != (core.Span{}) {
 		flags |= frameTraced
 	}
 	if req.Budget > 0 {
 		flags |= frameBudget
-	}
-	if req.HasCorr {
-		flags |= frameCorr
 	}
 	if len(req.Taint) > 0 {
 		flags |= frameTaint
@@ -264,9 +248,7 @@ func AppendRequest(dst []byte, req Request) []byte {
 	if flags&frameBudget != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(req.Budget))
 	}
-	if flags&frameCorr != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, req.Corr)
-	}
+	dst = binary.BigEndian.AppendUint64(dst, req.Corr)
 	if flags&frameTaint != 0 {
 		dst = append(dst, byte(len(req.Taint)))
 		for _, l := range req.Taint {
@@ -278,8 +260,8 @@ func AppendRequest(dst []byte, req Request) []byte {
 }
 
 // DecodeRequest parses one request frame (see AppendRequest). Frames with
-// unknown flag bits, truncated span contexts, budgets, or correlation IDs
-// are rejected with ErrTransport.
+// unknown flag bits, without a correlation ID, or with a truncated span
+// context, budget, or correlation ID are rejected with ErrTransport.
 func DecodeRequest(b []byte) (Request, error) {
 	var req Request
 	err := decodeRequestInto(b, &req, nil)
@@ -315,14 +297,14 @@ func decodeRequestInto(b []byte, req *Request, ops *interner) error {
 		req.Budget = time.Duration(ns)
 		b = b[8:]
 	}
-	if flags&frameCorr != 0 {
-		if len(b) < 8 {
-			return fmt.Errorf("truncated correlation id: %w", ErrTransport)
-		}
-		req.Corr = binary.BigEndian.Uint64(b)
-		req.HasCorr = true
-		b = b[8:]
+	if flags&frameCorr == 0 {
+		return fmt.Errorf("request frame without correlation id: %w", ErrTransport)
 	}
+	if len(b) < 8 {
+		return fmt.Errorf("truncated correlation id: %w", ErrTransport)
+	}
+	req.Corr = binary.BigEndian.Uint64(b)
+	b = b[8:]
 	if flags&frameTaint != 0 {
 		var err error
 		req.Taint, b, err = decodeTaint(b)
@@ -374,13 +356,13 @@ func decodeTaint(b []byte) ([]string, []byte, error) {
 	return taint, b, nil
 }
 
-// reply frames: when the request carried a correlation ID the reply is
-// prefixed with the same 8 bytes; then a status byte + payload (op or
-// error text). Deadline and overload failures get their own status codes
-// so errors.Is(err, core.ErrDeadline) / core.ErrOverloaded keep working
-// across the wire — the cluster layer routes on exactly that distinction.
-// Policy refusals likewise: a remote deny rehydrates as core.ErrPolicy, a
-// verdict about the request that the cluster layer must not fail over.
+// reply frames: the request's 8-byte correlation ID, then a status byte +
+// payload (op or error text). Deadline and overload failures get their own
+// status codes so errors.Is(err, core.ErrDeadline) / core.ErrOverloaded
+// keep working across the wire — the cluster layer routes on exactly that
+// distinction. Policy refusals likewise: a remote deny rehydrates as
+// core.ErrPolicy, a verdict about the request that the cluster layer must
+// not fail over.
 const (
 	statusOK       = 0
 	statusErr      = 1
@@ -460,7 +442,6 @@ type Exporter struct {
 	identity *cryptoutil.Signer
 	rand     *cryptoutil.PRNG
 	clock    func() time.Time
-	workers  int
 
 	// epoch is the fleet config epoch the exporter currently serves.
 	// Zero (the default) leaves admission ungated — any hello is
@@ -499,20 +480,20 @@ type sessState struct {
 	epoch  uint64 // config epoch the session was keyed at
 }
 
-// job is one decrypted invocation awaiting execution. buf is the pooled
-// buffer holding the decrypted frame; req.Data aliases raw, so the buffer
-// is released only after the reply has been sealed. A sub-frame of a
-// coalesced record instead points at its assembly (asm/idx): the assembly
-// owns the shared decrypted buffer, and the job's reply goes into slot idx
-// rather than its own sealed record.
+// job is one unit of exporter work: a decrypted invocation, or a whole
+// coalesced record. buf is the pooled buffer behind raw, which req.Data
+// (or every sub-frame of a record) aliases, so the buffer is released only
+// after the reply has been sealed. A record's job has rec set: raw then
+// holds the record's cleartext header followed by its decrypted body, and
+// drop is the index of the sub-frame the fault hook removed, or -1.
 type job struct {
 	ss   *sessState
 	from string
 	req  Request
 	buf  *[]byte
 	raw  []byte
-	asm  *coalAssembly
-	idx  int
+	rec  bool
+	drop int
 }
 
 // jobPool recycles job structs across serveBatch passes. A pipelining
@@ -547,19 +528,13 @@ type ExportConfig struct {
 	// (default time.Now). Simulation harnesses inject a virtual clock so
 	// remote deadlines stay on the same timeline as the hosting system's.
 	Clock func() time.Time
-
-	// Workers bounds concurrent component dispatch when one Serve pass
-	// finds several requests queued (default DefaultWorkers). A batch of
-	// one is always executed inline on the serving goroutine. The exported
-	// component itself stays serialized by core's per-component handler
-	// lock; workers buy concurrency across decrypt/seal and across
-	// colocated targets, and keep one slow request from convoying the
-	// replies behind it.
-	Workers int
 }
 
-// DefaultWorkers is the dispatch fan-out used when ExportConfig.Workers is
-// unset.
+// DefaultWorkers bounds concurrent dispatch when one Serve pass finds more
+// than smallBatch jobs queued. The exported component itself stays
+// serialized by core's per-component handler lock; workers buy concurrency
+// across seal and across colocated targets, and keep one slow record from
+// convoying the replies behind it.
 const DefaultWorkers = 4
 
 // smallBatch is the backlog size at or below which serveBatch dispatches
@@ -579,9 +554,6 @@ func NewExporter(cfg ExportConfig) (*Exporter, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
-	}
 	return &Exporter{
 		sys:      cfg.System,
 		target:   cfg.Component,
@@ -589,7 +561,6 @@ func NewExporter(cfg ExportConfig) (*Exporter, error) {
 		identity: cfg.Identity,
 		rand:     cfg.Rand,
 		clock:    cfg.Clock,
-		workers:  cfg.Workers,
 		sessions: make(map[string]*sessState),
 		pendings: make(map[string]*pendState),
 	}, nil
@@ -642,24 +613,19 @@ func (e *Exporter) evidence(transcript [32]byte) ([]byte, error) {
 }
 
 // Serve processes every pending datagram on the endpoint once: handshake
-// flights establish sessions, record flights carry invocations. A single
-// queued datagram — the lockstep test and simulation shape — is handled
-// inline and allocation-free; a deeper backlog (a pipelining client) is
-// decrypted in arrival order and dispatched across at most Workers
-// goroutines, with all replies on the wire before Serve returns. Tests and
-// the examples call it after each client step; a real deployment would
-// loop it.
+// flights establish sessions, record flights carry invocations. The
+// backlog is decrypted in arrival order and its jobs — one per plain
+// record, one per coalesced record — run inline when there are at most
+// smallBatch of them and across DefaultWorkers goroutines otherwise, with
+// all replies on the wire before Serve returns. A hostile or garbled
+// datagram is dropped without failing the service (fail closed per
+// connection), so Serve always returns nil. Tests and the examples call it
+// after each client step; a real deployment would loop it.
 func (e *Exporter) Serve() error {
 	for {
 		dg, ok := e.ep.Recv()
 		if !ok {
 			return nil
-		}
-		if e.ep.Pending() == 0 {
-			// A hostile or garbled frame must not kill the service; drop
-			// it and keep serving (fail closed per connection).
-			_ = e.handle(dg)
-			continue
 		}
 		e.serveBatch(dg)
 	}
@@ -667,9 +633,8 @@ func (e *Exporter) Serve() error {
 
 // serveBatch drains the backlog behind first and dispatches it. The
 // channel layer — handshakes, decrypt, ping — runs sequentially in arrival
-// order (the secure channel's receive sequence demands it); decrypted
-// component invocations, including the sub-frames of coalesced records,
-// then fan out to the worker pool.
+// order (the secure channel's receive sequence demands it); the jobs it
+// collects then run on the worker pool.
 func (e *Exporter) serveBatch(first netsim.Datagram) {
 	// The batch slice travels by pointer so the accumulating collect calls
 	// do not box a fresh slice header per wire round.
@@ -687,8 +652,7 @@ func (e *Exporter) serveBatch(first netsim.Datagram) {
 }
 
 // collect runs one datagram through the channel layer: handshake flights
-// complete inline, record flights decrypt and append their invocation —
-// or, for a coalesced record, one invocation per sub-frame — to jobs.
+// complete inline, record flights decrypt and append their job to jobs.
 func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
 	e.mu.Lock()
 	ss := e.sessions[dg.From]
@@ -721,7 +685,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 	jobs := *jobsp
 	switch {
 	case len(jobs) == 0:
-	case len(jobs) <= smallBatch || e.workers == 1:
+	case len(jobs) <= smallBatch:
 		// A shallow batch executes inline: spawning one goroutine per job
 		// costs more than it overlaps (the component handler is serialized
 		// by core regardless), and it was the allocs/op bump pipelined
@@ -732,7 +696,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 			jobPool.Put(j)
 		}
 	default:
-		n := e.workers
+		n := DefaultWorkers
 		if n > len(jobs) {
 			n = len(jobs)
 		}
@@ -755,15 +719,6 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 		wg.Wait()
 	}
 	*jobsp = jobs[:0]
-}
-
-// handle processes one datagram inline, start to finish.
-func (e *Exporter) handle(dg netsim.Datagram) error {
-	jobsp := batchPool.Get().(*[]*job)
-	err := e.collect(dg, jobsp)
-	e.dispatch(jobsp)
-	batchPool.Put(jobsp)
-	return err
 }
 
 // openRequest decrypts and decodes one record on an established session.
@@ -803,7 +758,7 @@ func (e *Exporter) openRequest(ss *sessState, dg netsim.Datagram, j *job) (bool,
 	if req.Op == PingOp {
 		// Liveness probe: answered by the channel layer itself, the
 		// component never runs.
-		err := e.reply(ss, dg.From, req, core.Message{Op: PongOp}, nil)
+		err := e.reply(ss, dg.From, req.Corr, core.Message{Op: PongOp}, nil)
 		putBuf(ob, plain)
 		return false, err
 	}
@@ -811,29 +766,42 @@ func (e *Exporter) openRequest(ss *sessState, dg netsim.Datagram, j *job) (bool,
 	return true, nil
 }
 
-// execute runs one decrypted invocation against the exported component and
-// sends the sealed reply. The request's pooled buffer is released only
-// after the reply is sealed, because the reply may alias the request data
-// (an echo) or the decrypted frame.
+// execute runs one job and sends its sealed reply: a coalesced record
+// through executeRecord (see coalesce.go), a plain record's invocation
+// here. The request's pooled buffer is released only after the reply is
+// sealed, because the reply may alias the request data (an echo) or the
+// decrypted frame.
 func (e *Exporter) execute(j *job) error {
-	if j.asm != nil {
-		// A coalesced sub-frame replies into its assembly slot; the last
-		// one to finish seals the single coalesced reply (see coalesce.go).
-		return e.executeSub(j)
+	if j.rec {
+		return e.executeRecord(j)
 	}
-	if j.req.Op == BatchOp {
-		// Batched ingestion: unpack the readings and fan them into the
-		// component, one sealed reply for the lot (see batch.go).
-		err := e.executeBatch(j)
-		putBuf(j.buf, j.raw)
-		return err
+	var now time.Time
+	if j.req.Budget > 0 {
+		now = e.clock() // only a budget needs the anchor
+	}
+	msg, bb, herr := e.invoke(&j.req, now)
+	err := e.reply(j.ss, j.from, j.req.Corr, msg, herr)
+	if bb != nil {
+		putBuf(bb, msg.Data)
+	}
+	putBuf(j.buf, j.raw)
+	return err
+}
+
+// invoke runs one decoded request against the exported component, its
+// budget re-anchored at now. A batch unpacks its readings into the
+// component one by one (see batch.go), and bb is then the pooled buffer
+// behind msg.Data, which the caller releases once the reply is sealed.
+func (e *Exporter) invoke(req *Request, now time.Time) (msg core.Message, bb *[]byte, err error) {
+	if req.Op == BatchOp {
+		return e.runBatch(req, now)
 	}
 	env := core.Envelope{
-		Msg:   core.Message{Op: j.req.Op, Data: j.req.Data},
-		Span:  j.req.Span,
-		Taint: j.req.Taint,
+		Msg:   core.Message{Op: req.Op, Data: req.Data},
+		Span:  req.Span,
+		Taint: req.Taint,
 	}
-	if j.req.Budget > 0 {
+	if req.Budget > 0 {
 		// Enforce the caller's remaining budget server-side: re-anchor
 		// the relative budget against the local clock and let the core
 		// watchdog bound the handler. A malicious or broken client
@@ -842,7 +810,7 @@ func (e *Exporter) execute(j *job) error {
 		// delivery clones the payload: the watchdog may abandon the
 		// handler, which would otherwise keep reading a pooled buffer
 		// about to be reused.
-		env.Deadline = e.clock().Add(j.req.Budget)
+		env.Deadline = now.Add(req.Budget)
 		env.Msg.Data = env.Msg.CloneData()
 	}
 	// An unguarded delivery borrows the decrypted buffer for the
@@ -850,17 +818,15 @@ func (e *Exporter) execute(j *job) error {
 	// DeliverShared borrow contract) — the zero-allocation path. Either
 	// way the frame's taint rides in, so the hosting system's policy
 	// judges the imported chain at its deliver boundary.
-	reply, herr := e.sys.DeliverEnvelope(e.target, env)
-	err := e.reply(j.ss, j.from, j.req, reply, herr)
-	putBuf(j.buf, j.raw)
-	return err
+	msg, err = e.sys.DeliverEnvelope(e.target, env)
+	return msg, nil, err
 }
 
-// reply seals and transmits one reply frame, echoing the request's
-// correlation ID when it carried one.
-func (e *Exporter) reply(ss *sessState, to string, req Request, msg core.Message, herr error) error {
+// reply seals and transmits one reply frame echoing the request's
+// correlation ID.
+func (e *Exporter) reply(ss *sessState, to string, corr uint64, msg core.Message, herr error) error {
 	fp := getBuf()
-	frame := appendReplyFrame((*fp)[:0], req, msg, herr)
+	frame := appendReplyFrame((*fp)[:0], corr, msg, herr)
 	rp := getBuf()
 	ss.sendMu.Lock()
 	rec, err := ss.sess.SealTo((*rp)[:0], frame)
@@ -1397,13 +1363,12 @@ func (s *Stub) Handle(env core.Envelope) (core.Message, error) {
 	// demuxed like any reply.
 	fp := getBuf()
 	frame := AppendRequest((*fp)[:0], Request{
-		Span:    env.Span,
-		Budget:  budget,
-		Corr:    corr,
-		HasCorr: true,
-		Taint:   env.Taint,
-		Op:      env.Msg.Op,
-		Data:    env.Msg.Data,
+		Span:   env.Span,
+		Budget: budget,
+		Corr:   corr,
+		Taint:  env.Taint,
+		Op:     env.Msg.Op,
+		Data:   env.Msg.Data,
 	})
 	sub := s.submit(gen, corr, w, fp, frame)
 	msg, err := s.awaitReply(sess, gen, corr, w, env.Deadline, sub)

@@ -377,9 +377,10 @@ func TestGarbageOnEstablishedSessionPreservesIt(t *testing.T) {
 	// nor hello-shaped: it must be dropped with the decrypt failure kept —
 	// not treated as a session reset, which would burn a handshake attempt
 	// and kill the live session.
-	err := f.exporter.handle(netsim.Datagram{From: "laptop", To: "cloud", Payload: []byte("neither record nor hello")})
-	if err == nil {
-		t.Fatal("garbage on established session accepted")
+	var jobs []*job
+	err := f.exporter.collect(netsim.Datagram{From: "laptop", To: "cloud", Payload: []byte("neither record nor hello")}, &jobs)
+	if err == nil || len(jobs) != 0 {
+		t.Fatalf("garbage on established session accepted: %v, %d jobs", err, len(jobs))
 	}
 	if !strings.Contains(err.Error(), "undecryptable record") {
 		t.Errorf("decrypt failure not preserved: %v", err)
@@ -467,7 +468,8 @@ func TestTraceStitchesAcrossMachines(t *testing.T) {
 }
 
 // TestRequestFrameRoundTrip covers the framing across all field
-// combinations: span context and remaining budget, each present or absent.
+// combinations: span context and remaining budget, each present or absent,
+// next to the mandatory correlation ID.
 func TestRequestFrameRoundTrip(t *testing.T) {
 	sp := core.Span{Trace: 0xdead, ID: 0xbeef}
 	for _, tc := range []struct {
@@ -481,30 +483,21 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		{name: "traced+budgeted", span: sp, budget: 2 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := DecodeRequest(EncodeRequest(tc.span, tc.budget, "put", []byte("k=v")))
+			in := Request{Span: tc.span, Budget: tc.budget, Corr: 42, Op: "put", Data: []byte("k=v")}
+			req, err := DecodeRequest(AppendRequest(nil, in))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if req.Span != tc.span || req.Budget != tc.budget || req.Op != "put" || string(req.Data) != "k=v" {
+			if req.Span != tc.span || req.Budget != tc.budget || req.Corr != 42 ||
+				req.Op != "put" || string(req.Data) != "k=v" {
 				t.Errorf("round trip = %+v", req)
 			}
 		})
 	}
-	// A pre-budget frame (old wire version) still decodes: budget reads as
-	// unbounded.
-	old := append([]byte{frameTraced}, make([]byte, 16)...)
-	old = append(old, encodeCall("get", nil)...)
-	req, err := DecodeRequest(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Budget != 0 || req.Op != "get" {
-		t.Errorf("old-version frame = %+v", req)
-	}
 	// Taint rides the frame and round-trips with every other field.
 	t.Run("tainted", func(t *testing.T) {
 		in := Request{
-			Span: sp, Budget: time.Second, Corr: 7, HasCorr: true,
+			Span: sp, Budget: time.Second, Corr: 7,
 			Taint: []string{"ingress", "meter-identities"},
 			Op:    "put", Data: []byte("k=v"),
 		}
@@ -553,6 +546,13 @@ func TestDecodeFrameErrorPaths(t *testing.T) {
 			}
 		})
 	}
+	call := encodeCall("op", nil)
+	// withCorr prefixes rest with flags (plus frameCorr) and a zero
+	// correlation ID: what a frame without span or budget needs before its
+	// taint field and call.
+	withCorr := func(flags byte, rest ...byte) []byte {
+		return append(append([]byte{flags | frameCorr}, make([]byte, 8)...), rest...)
+	}
 	reqCases := []struct {
 		name string
 		in   []byte
@@ -561,24 +561,26 @@ func TestDecodeFrameErrorPaths(t *testing.T) {
 		{name: "empty frame", in: nil},
 		{name: "flags only, traced", in: []byte{frameTraced}},
 		{name: "truncated span context", in: []byte{frameTraced, 1, 2, 3}},
-		{name: "span context then short call", in: append(append([]byte{frameTraced}, make([]byte, 16)...), 0)},
-		{name: "untraced short call", in: []byte{0, 0}},
+		{name: "span context then short call", in: append(append([]byte{frameTraced | frameCorr}, make([]byte, 16+8)...), 0)},
+		{name: "untraced short call", in: withCorr(0, 0)},
+		{name: "no correlation id", in: append([]byte{0}, call...)},
+		{name: "truncated correlation id", in: []byte{frameCorr, 1, 2, 3}},
 		{name: "flags only, budgeted", in: []byte{frameBudget}},
 		{name: "truncated budget", in: []byte{frameBudget, 1, 2, 3}},
-		{name: "budget overflow", in: append(append([]byte{frameBudget}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), encodeCall("op", nil)...)},
-		{name: "unknown future flag", in: append([]byte{1 << 5}, encodeCall("op", nil)...)},
-		{name: "flags only, tainted", in: []byte{frameTaint}},
-		{name: "taint count zero", in: append([]byte{frameTaint, 0}, encodeCall("op", nil)...)},
-		{name: "taint count over max", in: append([]byte{frameTaint, maxTaintLabels + 1}, encodeCall("op", nil)...)},
-		{name: "taint label empty", in: append([]byte{frameTaint, 1, 0}, encodeCall("op", nil)...)},
-		{name: "taint label truncated", in: []byte{frameTaint, 1, 3, 'a'}},
-		{name: "taint labels unsorted", in: append([]byte{frameTaint, 2, 1, 'b', 1, 'a'}, encodeCall("op", nil)...)},
-		{name: "taint label duplicated", in: append([]byte{frameTaint, 2, 1, 'a', 1, 'a'}, encodeCall("op", nil)...)},
+		{name: "budget overflow", in: append(append([]byte{frameBudget | frameCorr}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), withCorr(0, call...)[1:]...)},
+		{name: "unknown future flag", in: append([]byte{1<<5 | frameCorr}, withCorr(0, call...)[1:]...)},
+		{name: "flags only, tainted", in: withCorr(frameTaint)},
+		{name: "taint count zero", in: withCorr(frameTaint, append([]byte{0}, call...)...)},
+		{name: "taint count over max", in: withCorr(frameTaint, append([]byte{maxTaintLabels + 1}, call...)...)},
+		{name: "taint label empty", in: withCorr(frameTaint, append([]byte{1, 0}, call...)...)},
+		{name: "taint label truncated", in: withCorr(frameTaint, 1, 3, 'a')},
+		{name: "taint labels unsorted", in: withCorr(frameTaint, append([]byte{2, 1, 'b', 1, 'a'}, call...)...)},
+		{name: "taint label duplicated", in: withCorr(frameTaint, append([]byte{2, 1, 'a', 1, 'a'}, call...)...)},
 		{name: "tainted valid", in: AppendRequest(nil, Request{Taint: []string{"a", "b"}, Op: "op"}), ok: true},
-		{name: "untraced valid", in: EncodeRequest(core.Span{}, 0, "op", nil), ok: true},
-		{name: "traced valid", in: EncodeRequest(core.Span{Trace: 1, ID: 2}, 0, "op", nil), ok: true},
-		{name: "budgeted valid", in: EncodeRequest(core.Span{}, time.Second, "op", nil), ok: true},
-		{name: "traced budgeted valid", in: EncodeRequest(core.Span{Trace: 1, ID: 2}, time.Second, "op", nil), ok: true},
+		{name: "untraced valid", in: AppendRequest(nil, Request{Op: "op"}), ok: true},
+		{name: "traced valid", in: AppendRequest(nil, Request{Span: core.Span{Trace: 1, ID: 2}, Op: "op"}), ok: true},
+		{name: "budgeted valid", in: AppendRequest(nil, Request{Budget: time.Second, Op: "op"}), ok: true},
+		{name: "traced budgeted valid", in: AppendRequest(nil, Request{Span: core.Span{Trace: 1, ID: 2}, Budget: time.Second, Op: "op"}), ok: true},
 	}
 	for _, tc := range reqCases {
 		t.Run("request/"+tc.name, func(t *testing.T) {

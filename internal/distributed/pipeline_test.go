@@ -1,9 +1,8 @@
 package distributed
 
-// Tests for the wire-v3 pipelining path: correlation-ID demux, mixed
-// wire-version interop, orphaned and duplicated replies, and the demux
-// loop under concurrent callers and network chaos (run under -race by the
-// race-hotpath make target).
+// Tests for the wire-v3 pipelining path: correlation-ID demux, orphaned
+// and duplicated replies, and the demux loop under concurrent callers and
+// network chaos (run under -race by the race-hotpath make target).
 
 import (
 	"crypto/ed25519"
@@ -20,9 +19,9 @@ import (
 	"lateral/internal/securechan"
 )
 
-// v2Handshake runs the client side of the attested handshake by hand,
-// standing in for a peer built before wire v3.
-func v2Handshake(t *testing.T, f *fixture, ep *netsim.Endpoint, seed string) *securechan.Session {
+// handshakeByHand runs the client side of the attested handshake without
+// a Stub, for tests that seal records themselves.
+func handshakeByHand(t *testing.T, f *fixture, ep *netsim.Endpoint, seed string) *securechan.Session {
 	t.Helper()
 	client, err := securechan.NewClient(securechan.ClientConfig{
 		Rand:         cryptoutil.NewPRNG(seed),
@@ -52,80 +51,6 @@ func v2Handshake(t *testing.T, f *fixture, ep *netsim.Endpoint, seed string) *se
 		t.Fatal(err)
 	}
 	return sess
-}
-
-// v2Call drives one wire-v2 request (no correlation flag) and returns the
-// raw decrypted reply frame.
-func v2Call(t *testing.T, f *fixture, ep *netsim.Endpoint, sess *securechan.Session, op string, data []byte) []byte {
-	t.Helper()
-	rec, err := sess.Seal(EncodeRequest(core.Span{}, 0, op, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Send("cloud", rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.exporter.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	dg, ok := ep.Recv()
-	if !ok {
-		t.Fatal("no reply")
-	}
-	plain, err := sess.Open(dg.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return plain
-}
-
-// TestMixedVersionPeers proves wire-version interop both ways on one
-// exporter: a hand-rolled wire-v2 client (no correlation flag on its
-// requests) gets unprefixed replies, while the v3 stub's correlation-
-// tagged calls keep working against the same process — the exporter
-// echoes a correlation ID if and only if the request carried one.
-func TestMixedVersionPeers(t *testing.T) {
-	f := newFixture(t, nil, false)
-	ep := f.net.Attach("legacy")
-	sess := v2Handshake(t, f, ep, "legacy-hs")
-
-	// v2 put: the reply frame must start directly with the status byte —
-	// no 8-byte correlation prefix for a request that carried none.
-	reply := v2Call(t, f, ep, sess, "put", []byte("season=winter"))
-	if len(reply) == 0 || reply[0] != statusOK {
-		t.Fatalf("v2 put reply = % x, want leading statusOK", reply)
-	}
-	op, data, err := decodeCall(reply[1:])
-	if err != nil || op != "ok" {
-		t.Fatalf("v2 put reply body = %q %q %v", op, data, err)
-	}
-
-	// v2 get round-trips the stored value.
-	reply = v2Call(t, f, ep, sess, "get", []byte("season"))
-	if reply[0] != statusOK {
-		t.Fatalf("v2 get status = %d", reply[0])
-	}
-	if _, data, err = decodeCall(reply[1:]); err != nil || string(data) != "winter" {
-		t.Fatalf("v2 get = %q, %v", data, err)
-	}
-
-	// A v2 error reply is typed, still unprefixed.
-	reply = v2Call(t, f, ep, sess, "get", []byte("missing"))
-	if reply[0] != statusErr {
-		t.Fatalf("v2 missing-doc status = %d, want statusErr", reply[0])
-	}
-
-	// The v3 stub speaks to the same exporter with correlation IDs.
-	if err := f.stub.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.clientSys.Deliver("client", core.Message{Op: "get", Data: []byte("season")})
-	if err != nil || string(got.Data) != "winter" {
-		t.Fatalf("v3 get after v2 put = %q, %v", got.Data, err)
-	}
-	if st := f.stub.Stats(); st.Issued != st.Completed || st.Inflight != 0 {
-		t.Errorf("stub books unbalanced: %+v", st)
-	}
 }
 
 // pipeFixture builds a stub against the fixture's exporter whose pump

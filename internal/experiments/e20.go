@@ -263,7 +263,7 @@ func E20Stall() (Table, error) {
 		fmt.Sprintf("containment bound: per-call budget + one health interval (%s); wall-clock time", e20Slack),
 		fmt.Sprintf("wedged round: %d abandoned at deadline, replica stayed admitted (healthy=%d of 3), lateral_call_timeouts_total=%d",
 			timedOut2, f2.pool.Healthy(), tmoMetric),
-		fmt.Sprintf("wedged replica finished its backlog after abandonment: %d calls eventually handled fleet-wide", f2.handledTotal()),
+		fmt.Sprintf("wedged replica drained its backlog after abandonment: %d calls eventually handled fleet-wide; calls whose budget ran out while queued were skipped, not run late", f2.handledTotal()),
 		fmt.Sprintf("chaos round: broken sessions fail fast (no hangs); fleet whole again after %d health round(s), none quarantined", healRounds),
 	)
 	return t, nil

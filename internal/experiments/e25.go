@@ -50,9 +50,9 @@ func (a *e25App) Handle(env core.Envelope) (core.Message, error) {
 
 type e25Vault struct{}
 
-func (e25Vault) CompName() string             { return "vault" }
-func (e25Vault) CompVersion() string          { return "1.0" }
-func (e25Vault) Init(*core.Ctx) error         { return nil }
+func (e25Vault) CompName() string     { return "vault" }
+func (e25Vault) CompVersion() string  { return "1.0" }
+func (e25Vault) Init(*core.Ctx) error { return nil }
 func (e25Vault) Handle(env core.Envelope) (core.Message, error) {
 	if env.Msg.Op != "ids" {
 		return core.Message{}, core.ErrRefused
