@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet test race-hotpath race cover bench bench-smoke bench-baseline experiments fuzz cluster-soak stall-soak sim-soak audit-soak policy-soak epoch-soak shard-soak coalesce-soak examples clean
+.PHONY: all verify fmt build vet test race-hotpath race cover bench bench-smoke bench-check bench-baseline experiments fuzz cluster-soak stall-soak sim-soak audit-soak policy-soak epoch-soak shard-soak coalesce-soak examples clean
 
 all: build vet test race-hotpath
 
@@ -67,6 +67,12 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) test -count=1 -run 'TestBatchIngestZeroAllocPerReading|TestCoalescedZeroAllocPerSubFrame' ./internal/distributed
+
+# The repository benchmark (bench/, run by bench/run.sh) is its own Go
+# module, so the root `go build ./...` never compiles it: vet and test it
+# here, so an API change that breaks the benchmark fails CI.
+bench-check:
+	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
 
 # Regenerate the checked-in baselines: E22 pipelining (BENCH_e22.json),
 # E23 sharded fleet (BENCH_e23.json), E26 rolling replace

@@ -133,10 +133,10 @@ func writeE26Baseline(path string) error {
 	return nil
 }
 
-// writeE27Baseline regenerates the checked-in BENCH_e27.json: the
-// coalesce-window curve at depth 64 — sealed records (AEAD passes on the
-// request path), sub-frames per record, and wire rounds are deterministic
-// and comparable across machines; ops/sec and p99 are wall-clock.
+// writeE27Baseline regenerates the checked-in BENCH_e27.json: one point
+// per simulated RTT at depth 64 — sealed records (AEAD passes on the
+// request path), sub-frames per record, and wire rounds are comparable
+// across machines; ops/sec and p99 are wall-clock.
 func writeE27Baseline(path string) error {
 	points, err := experiments.E27Baseline()
 	if err != nil {
@@ -144,9 +144,8 @@ func writeE27Baseline(path string) error {
 	}
 	doc := struct {
 		Experiment string                 `json:"experiment"`
-		RTTMillis  int                    `json:"simulated_rtt_ms"`
 		Points     []experiments.E27Point `json:"points"`
-	}{Experiment: "E27 wire-level frame coalescing", RTTMillis: 1, Points: points}
+	}{Experiment: "E27 wire-level frame coalescing", Points: points}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -289,20 +289,19 @@ func run(args []string) error {
 		fmt.Printf("%d/%d readings accepted; fleet processed %d (makespan %.2f ms of modeled enclave time)\n",
 			accepted, meters*rounds, demo.ProcessedTotal(), float64(demo.MakespanNs())/1e6)
 		fmt.Printf("fleet at config epoch %d after the rolling replace\n\n", demo.Pool.Epoch())
-		fmt.Printf("%-8s %-12s %-16s %6s %7s %6s %8s %10s %8s %10s %10s %6s\n",
+		fmt.Printf("%-8s %-12s %-16s %6s %7s %6s %8s %10s %8s %10s %10s\n",
 			"replica", "state", "wire", "epoch", "calls", "errs", "retries", "failovers", "orphans",
-			"avg-window", "aead-save", "ctl")
+			"avg-window", "aead-save")
 		for _, ri := range demo.Pool.Replicas() {
 			// The coalescing view per stub: how many sub-frames the average
-			// shared record carried, the AEAD passes those records saved,
-			// and the adaptive controller's last move.
+			// shared record carried and the AEAD passes those records saved.
 			avgWindow := 1.0
 			if ri.Stub.CoalescedRecords > 0 {
 				avgWindow = float64(ri.Stub.CoalescedSubs) / float64(ri.Stub.CoalescedRecords)
 			}
-			fmt.Printf("%-8s %-12s %-16s %6d %7d %6d %8d %10d %8d %10.2f %10d %6s\n",
+			fmt.Printf("%-8s %-12s %-16s %6d %7d %6d %8d %10d %8d %10.2f %10d\n",
 				ri.Name, ri.State, ri.Version, ri.Epoch, ri.Calls, ri.Errors, ri.Retries, ri.Failovers, ri.Stub.Orphans,
-				avgWindow, ri.Stub.CoalescedSubs-ri.Stub.CoalescedRecords, ri.Stub.CoalesceState)
+				avgWindow, ri.Stub.CoalescedSubs-ri.Stub.CoalescedRecords)
 		}
 
 		// The same fleet pattern at population scale: independent cells

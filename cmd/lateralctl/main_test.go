@@ -37,7 +37,7 @@ func TestMetricsPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{"lateral_stub_calls_total", "lateral_stub_coalesce_records_total",
-		"lateral_stub_coalesce_saved_total", "lateral_stub_coalesce_window", "lateral_journal_events_total",
+		"lateral_stub_coalesce_saved_total", "lateral_journal_events_total",
 		"lateral_journal_checkpoint_counter", "lateral_journal_flight_dumps_total",
 		"lateral_policy_decisions_total", "lateral_policy_rule_hits_total",
 		"lateral_policy_grants_total", "lateral_shard_epoch", "lateral_shard_count",
@@ -126,12 +126,10 @@ func goldenMetrics() *telemetry.Metrics {
 	m.StubOrphan("store")
 
 	// Frame coalescing for the coalesce table: two shared records — one
-	// pairing two racing calls, one packing four — after the adaptive
-	// controller grew its window to 8. aead-saved renders as 4: six
-	// sub-frames sealed with two AEAD passes.
+	// pairing two racing calls, one packing four. aead-saved renders as 4:
+	// six sub-frames sealed with two AEAD passes.
 	m.StubCoalesce("store", 2)
 	m.StubCoalesce("store", 4)
-	m.StubCoalesceWindow("store", 8)
 
 	// Fleet black box for the journal table: a short honest run — admit,
 	// up, one quarantine with its flight dump — closed by two checkpoints.

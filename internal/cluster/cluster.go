@@ -124,8 +124,9 @@ type Replica struct {
 	stub     *distributed.Stub
 	setEpoch func(uint64) // pushes a new config epoch to the replica's exporter
 
-	// mu serializes connection management (Connect/Ping health probes) so
-	// health rounds never race each other on one replica. Calls do NOT
+	// mu serializes connection management (the admission handshake,
+	// rekeys, and Connect/Ping health probes) so no two of them race on
+	// one replica. Calls do NOT
 	// take it: the stub pipelines, so any number of requests may be in
 	// flight per replica at once.
 	mu sync.Mutex
@@ -394,7 +395,11 @@ func (p *Pool) Admit(spec ReplicaSpec) error {
 	// Visible in fleet telemetry from admission, not first transition.
 	p.cfg.Monitor.ReplicaState(p.cfg.Fleet, r.name, false, false)
 
+	// The replica is visible to health rounds from here on, so the
+	// handshake takes the same lock their Connect probes do.
+	r.mu.Lock()
 	err = stub.Connect()
+	r.mu.Unlock()
 	switch {
 	case err == nil:
 		p.setState(r, StateHealthy, "")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -571,6 +572,11 @@ func TestTelemetryMonitorSeesFleetEvents(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Every call above was sequential, so no stub coalesced, and the
+	// coalescing families are emitted only when some stub did.
+	if strings.Contains(b.String(), "lateral_stub_coalesce_") {
+		t.Error("sequential stubs emitted lateral_stub_coalesce_ families")
+	}
 }
 
 // TestSoakUnderChaos hammers the pool from several goroutines while a
@@ -881,4 +887,57 @@ func TestQuarantineJournaledExactlyOnceUnderConcurrentFailover(t *testing.T) {
 	if got := jc.count(KindReplicaUp, "anon/anon-2"); got != 1 {
 		t.Fatalf("anon-2 replica-up count = %d, want 1 (initial admission only)", got)
 	}
+}
+
+// TestAdmitHandshakeExcludesHealthRound pins that Admit holds the
+// replica's connection lock across its handshake, as health rounds and
+// rekeys do. The replica's pump starts a health round on another goroutine
+// while Admit's hello is on the wire; that round sees the replica down and
+// must wait for the lock instead of dialing a second handshake through the
+// same stub and exporter at once. Admit's first pump holds its round open
+// until a second pump joins it or 100 ms pass, so a round that ignores the
+// lock is caught on every run. Run with -race: two overlapping handshakes
+// also share the exporter's randomness unsynchronized.
+func TestAdmitHandshakeExcludesHealthRound(t *testing.T) {
+	f := newFleet(t, 0, nil, nil)
+	spec := f.buildReplica("anon-1", false)
+	serve := spec.Pump
+	var active atomic.Int32
+	var start, joined sync.Once
+	overlap := make(chan struct{})
+	round := make(chan struct{})
+	spec.Pump = func() error {
+		if active.Add(1) > 1 {
+			joined.Do(func() { close(overlap) })
+		}
+		defer active.Add(-1)
+		first := false
+		start.Do(func() {
+			first = true
+			go func() {
+				defer close(round)
+				f.pool.CheckNow()
+			}()
+		})
+		if first {
+			select {
+			case <-overlap:
+			case <-time.After(100 * time.Millisecond):
+			}
+		}
+		return serve()
+	}
+	if err := f.pool.Admit(spec); err != nil {
+		t.Fatal(err)
+	}
+	<-round
+	select {
+	case <-overlap:
+		t.Fatal("a health round dialed a handshake while Admit's was on the wire")
+	default:
+	}
+	if got := f.info("anon-1").State; got != StateHealthy {
+		t.Fatalf("anon-1 = %v after admit and health round, want healthy", got)
+	}
+	f.mustBump("k")
 }

@@ -3,12 +3,13 @@
 // Pipelining (wire v3) lets concurrent callers share wire *rounds*, but
 // each call still pays its own AEAD pass. Coalescing amortizes the crypto
 // too: senders parked behind the flush leader enqueue plaintext sub-frames,
-// and the leader drains the queue and seals up to a window of them as a
-// single coalesced record — one AEAD pass, one auth tag, N requests. The
-// exporter unseals once and runs the record as one job: its sub-frames
-// execute in header order on one goroutine (core serializes the exported
-// component's handlers anyway), and their replies go back the same way,
-// sealed as one coalesced reply record.
+// and the leader drains the queue and seals everything it drained (at most
+// MaxCoalesce) as a single coalesced record — one AEAD pass, one auth tag,
+// N requests. The queue only ever holds callers that are waiting, so it
+// needs no other cap. The exporter unseals once and runs the record as one
+// job: its sub-frames execute in header order on one goroutine (core
+// serializes the exported component's handlers anyway), and their replies
+// go back the same way, sealed as one coalesced reply record.
 //
 // Wire format of a coalesced record (all integers big-endian):
 //
@@ -31,8 +32,8 @@
 // matching the header entry) and each reply sub is a complete reply frame
 // (8-byte correlation prefix, status byte, payload). Sub-frames are the
 // existing wire format verbatim, which is what makes v3-plain and
-// coalesced traffic interoperable: a window of one seals a plain record,
-// byte-identical to the pre-coalescing wire.
+// coalesced traffic interoperable: a drain of one frame seals a plain
+// record, byte-identical to the pre-coalescing wire.
 //
 // The magic byte cannot collide with other datagram kinds: a plain record
 // starts with its 8-byte big-endian send sequence (first byte zero until
@@ -47,7 +48,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lateral/internal/core"
 	"lateral/internal/netsim"
@@ -58,12 +58,8 @@ import (
 const CoalMagic = 0xC3
 
 // MaxCoalesce bounds the sub-frames one coalesced record may carry — the
-// decode-side cap, above any window a controller will pick.
+// decode-side cap, and so the most one flush seals into a record.
 const MaxCoalesce = 256
-
-// DefaultCoalesceMax is the adaptive window controller's default ceiling
-// when StubConfig.CoalesceMax is unset.
-const DefaultCoalesceMax = 64
 
 // IsCoalesced reports whether a datagram payload is a coalesced record.
 func IsCoalesced(b []byte) bool { return len(b) > 0 && b[0] == CoalMagic }
@@ -227,155 +223,11 @@ type CoalesceMonitor interface {
 	// StubCoalesce records one coalesced record sealed carrying subframes
 	// sub-frames (always ≥ 2; single flushes seal plain records).
 	StubCoalesce(stub string, subframes int)
-	// StubCoalesceWindow reports the adaptive controller's window after it
-	// changed.
-	StubCoalesceWindow(stub string, window int)
 }
 
 type nopCoalesceMonitor struct{}
 
-func (nopCoalesceMonitor) StubCoalesce(string, int)       {}
-func (nopCoalesceMonitor) StubCoalesceWindow(string, int) {}
-
-// WindowStats is a snapshot of one adaptive window controller.
-type WindowStats struct {
-	// Window is the current coalescing window.
-	Window int
-	// Grows and Shrinks count AIMD adaptations: additive/slow-start
-	// increases and multiplicative (halving) decreases.
-	Grows   uint64
-	Shrinks uint64
-	// Flushes and SubFrames count observed drains and the items they
-	// carried; SubFrames/Flushes is the achieved average window.
-	Flushes   uint64
-	SubFrames uint64
-	// RateHz is the observed arrival rate (items per second) over the
-	// controller's lifetime, measured on its injected clock.
-	RateHz float64
-	// State names the last adaptation: "idle" (nothing observed yet),
-	// "grow", "shrink", or "steady".
-	State string
-}
-
-// WindowController is the adaptive depth controller shared by the stub's
-// frame coalescer and the shard layer's ingestion batcher. It replaces a
-// fixed depth knob with AIMD: saturated flushes grow the window (doubling
-// while a backlog proves arrivals outpace it — slow start — then by one),
-// and a shed — a deadline or ErrOverloaded verdict — halves it. The
-// controller never initiates work; it only sizes the batches the callers
-// were going to seal anyway, so a window larger than the offered load
-// costs nothing.
-type WindowController struct {
-	mu        sync.Mutex
-	win       int
-	max       int
-	grows     uint64
-	shrinks   uint64
-	flushes   uint64
-	subFrames uint64
-	state     string
-
-	clock func() time.Time
-	start time.Time
-	last  time.Time
-}
-
-// NewWindowController builds a controller with window ceiling max (0 means
-// DefaultCoalesceMax; values above MaxCoalesce are clamped) starting at a
-// window of one. clock defaults to time.Now; simulation and unit tests
-// inject a virtual clock, which is what makes the observed arrival rate
-// deterministic.
-func NewWindowController(max int, clock func() time.Time) *WindowController {
-	if max <= 0 {
-		max = DefaultCoalesceMax
-	}
-	if max > MaxCoalesce {
-		max = MaxCoalesce
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &WindowController{win: 1, max: max, state: "idle", clock: clock}
-}
-
-// Window returns the current coalescing window.
-func (c *WindowController) Window() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.win
-}
-
-// ObserveFlush records one drain of drained items that left backlog items
-// still queued, and adapts the window: a saturated flush with a backlog
-// doubles it (arrivals demonstrably outpace the window), a merely
-// saturated flush adds one, an unsaturated flush changes nothing (the
-// window only shrinks on shed, never on a quiet period — idle callers
-// must not have to re-earn their depth). Returns the window and whether
-// it changed.
-func (c *WindowController) ObserveFlush(drained, backlog int) (win int, changed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.clock()
-	if c.flushes == 0 {
-		c.start = now
-	}
-	c.last = now
-	c.flushes++
-	c.subFrames += uint64(drained)
-	old := c.win
-	switch {
-	case drained >= c.win && backlog > 0 && c.win < c.max:
-		c.win *= 2
-		if c.win > c.max {
-			c.win = c.max
-		}
-	case drained >= c.win && c.win < c.max:
-		c.win++
-	}
-	if c.win != old {
-		c.grows++
-		c.state = "grow"
-	} else if c.state != "shrink" || drained < old {
-		c.state = "steady"
-	}
-	return c.win, c.win != old
-}
-
-// ObserveShed reacts to a shed verdict — a call resolved with ErrDeadline
-// or ErrOverloaded — by halving the window (multiplicative decrease, floor
-// one). Returns the window and whether it changed.
-func (c *WindowController) ObserveShed() (win int, changed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.win
-	c.win /= 2
-	if c.win < 1 {
-		c.win = 1
-	}
-	if c.win != old {
-		c.shrinks++
-	}
-	c.state = "shrink"
-	return c.win, c.win != old
-}
-
-// Stats snapshots the controller.
-func (c *WindowController) Stats() WindowStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := WindowStats{
-		Window:    c.win,
-		Grows:     c.grows,
-		Shrinks:   c.shrinks,
-		Flushes:   c.flushes,
-		SubFrames: c.subFrames,
-		State:     c.state,
-	}
-	if elapsed := c.last.Sub(c.start); elapsed > 0 {
-		s.RateHz = float64(c.subFrames) / elapsed.Seconds()
-	}
-	return s
-}
+func (nopCoalesceMonitor) StubCoalesce(string, int) {}
 
 // pendingSub is one request frame queued behind the flush leader: the
 // caller's correlation ID and waiter (so a failed flush can resolve it),
@@ -464,7 +316,7 @@ func (s *Stub) gatherWave() {
 }
 
 // flushQueue drains the coalescer until it observes an empty queue,
-// sealing at most a window of sub-frames per record. Exactly one flusher
+// sealing at most MaxCoalesce sub-frames per record. Exactly one flusher
 // runs at a time; a caller that loses the flushing flag returns
 // immediately (its frame is the current flusher's to dispose of). Errors —
 // the flusher's own call included — are resolved through the waiters.
@@ -477,19 +329,15 @@ func (s *Stub) flushQueue() {
 	}
 	c.flushing = true
 	for len(c.queue) > 0 {
-		n := len(c.queue)
-		if win := s.win.Window(); n > win {
-			n = win
-		}
+		n := min(len(c.queue), MaxCoalesce)
 		batch := append(c.scratch[:0], c.queue[:n]...)
 		m := copy(c.queue, c.queue[n:])
 		for i := m; i < len(c.queue); i++ {
 			c.queue[i] = nil
 		}
 		c.queue = c.queue[:m]
-		backlog := m
 		c.mu.Unlock()
-		s.flushBatch(batch, backlog)
+		s.flushBatch(batch)
 		c.scratch = batch[:0]
 		c.mu.Lock()
 	}
@@ -505,7 +353,7 @@ func (s *Stub) flushQueue() {
 // were already resolved by the replacing path's broadcast. A seal or send
 // failure resolves every drained caller whose registration this flush
 // still owns.
-func (s *Stub) flushBatch(batch []*pendingSub, backlog int) {
+func (s *Stub) flushBatch(batch []*pendingSub) {
 	s.mu.Lock()
 	sess, gen := s.sess, s.gen
 	s.mu.Unlock()
@@ -588,9 +436,6 @@ func (s *Stub) flushBatch(batch []*pendingSub, backlog int) {
 		s.coalRecords.Add(1)
 		s.coalSubs.Add(uint64(n))
 		s.cmon.StubCoalesce(s.name, n)
-	}
-	if win, changed := s.win.ObserveFlush(len(live), backlog); changed {
-		s.cmon.StubCoalesceWindow(s.name, win)
 	}
 	for _, sub := range live {
 		sub.flushed.Store(true)

@@ -1,9 +1,9 @@
 package distributed
 
-// The coalesced-path allocation gate: with the adaptive window open and a
-// deep pipeline racing, the per-sub-frame marginal cost on the sealed
-// hot path — enqueue, flush into a shared record, demux the coalesced
-// reply — must be allocation-free. Per-RECORD costs (the pooled assembly
+// The coalesced-path allocation gate: with a deep pipeline racing, the
+// per-sub-frame marginal cost on the sealed hot path — enqueue, flush
+// into a shared record, demux the coalesced reply — must be
+// allocation-free. Per-RECORD costs (the pooled assembly
 // buffer's first growth, a netsim datagram) amortize over the sub-frames
 // they carry; anything per-CALL shows up as >= 1 in the whole-process
 // malloc count and fails the gate. `make bench-smoke` asserts this on
@@ -111,8 +111,8 @@ func TestCoalescedZeroAllocPerSubFrame(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Warm up: grow the adaptive window, populate the waiter/frame pools,
-	// and size the demux maps before the measured phase.
+	// Warm up: populate the waiter/frame pools and size the demux maps
+	// before the measured phase.
 	run(depth * 16)
 
 	const calls = depth * 64

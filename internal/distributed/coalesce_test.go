@@ -2,7 +2,6 @@ package distributed
 
 // Tests for wire-level frame coalescing: the coalesced record codec and
 // its canonical-form guarantees, the AD binding of the cleartext header,
-// the adaptive window controller's AIMD behavior on a virtual clock,
 // exporter-side sub-frame fault isolation, in-order execution of a record
 // under one budget anchor, and the stub's send-side coalescing under
 // concurrent callers.
@@ -99,71 +98,6 @@ func TestCoalBodyCodec(t *testing.T) {
 		if _, err := DecodeCoalBody(in); !errors.Is(err, ErrTransport) {
 			t.Errorf("%s: err = %v, want ErrTransport", name, err)
 		}
-	}
-}
-
-// TestWindowControllerAIMD drives the adaptive controller on a virtual
-// clock: slow-start doubling while a backlog proves arrivals outpace the
-// window, additive growth when merely saturated, no decay on quiet
-// periods, multiplicative decrease on shed, and a deterministic observed
-// arrival rate.
-func TestWindowControllerAIMD(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := NewWindowController(8, clock)
-	if c.Window() != 1 {
-		t.Fatalf("initial window = %d, want 1", c.Window())
-	}
-
-	// Saturated with backlog: slow-start doubling up to the ceiling.
-	for _, want := range []int{2, 4, 8} {
-		now = now.Add(100 * time.Millisecond)
-		win, changed := c.ObserveFlush(c.Window(), 3)
-		if win != want || !changed {
-			t.Fatalf("slow start: window = %d (changed=%v), want %d", win, changed, want)
-		}
-	}
-	// At the ceiling: saturation no longer grows.
-	now = now.Add(100 * time.Millisecond)
-	if win, changed := c.ObserveFlush(8, 5); win != 8 || changed {
-		t.Fatalf("ceiling: window = %d (changed=%v), want 8 unchanged", win, changed)
-	}
-	// Unsaturated flushes never shrink the window.
-	now = now.Add(100 * time.Millisecond)
-	if win, changed := c.ObserveFlush(1, 0); win != 8 || changed {
-		t.Fatalf("quiet flush: window = %d (changed=%v), want 8 unchanged", win, changed)
-	}
-
-	// Shed: multiplicative decrease, floor one.
-	if win, changed := c.ObserveShed(); win != 4 || !changed {
-		t.Fatalf("shed: window = %d (changed=%v), want 4", win, changed)
-	}
-	c.ObserveShed()
-	c.ObserveShed()
-	if win, changed := c.ObserveShed(); win != 1 || changed {
-		t.Fatalf("shed at floor: window = %d (changed=%v), want 1 unchanged", win, changed)
-	}
-
-	// Saturated without backlog: additive increase.
-	now = now.Add(100 * time.Millisecond)
-	if win, _ := c.ObserveFlush(1, 0); win != 2 {
-		t.Fatalf("additive growth: window = %d, want 2", win)
-	}
-
-	st := c.Stats()
-	if st.Window != 2 || st.Grows != 4 || st.Shrinks != 3 {
-		t.Errorf("stats = %+v, want window 2, 4 grows, 3 shrinks", st)
-	}
-	// Drained counts: 1, 2, 4 (slow start), 8 (ceiling), 1 (quiet), 1.
-	if st.Flushes != 6 || st.SubFrames != 1+2+4+8+1+1 {
-		t.Errorf("stats = %+v, want 6 flushes, 17 sub-frames", st)
-	}
-	// 17 sub-frames over the 500ms between first and last flush.
-	if want := 17.0 / 0.5; st.RateHz < want-0.01 || st.RateHz > want+0.01 {
-		t.Errorf("rate = %.2f Hz, want %.2f", st.RateHz, want)
-	}
-	if st.State != "grow" {
-		t.Errorf("state = %q, want grow", st.State)
 	}
 }
 
@@ -563,9 +497,6 @@ func TestConcurrentCallsCoalesce(t *testing.T) {
 	if st.CoalescedSubs < 2*st.CoalescedRecords {
 		t.Errorf("coalesced records carry < 2 subs on average: %+v", st)
 	}
-	if st.CoalesceWindow < 1 || st.CoalesceState == "idle" {
-		t.Errorf("controller never engaged: window %d state %q", st.CoalesceWindow, st.CoalesceState)
-	}
 }
 
 // TestSequentialCallsStayPlain pins wire interop: a purely sequential
@@ -588,17 +519,5 @@ func TestSequentialCallsStayPlain(t *testing.T) {
 	}
 	if st.Records != st.Issued {
 		t.Errorf("records = %d, want %d (one plain record per call)", st.Records, st.Issued)
-	}
-}
-
-// TestCoalesceDisabledByConfig pins CoalesceMax = 1 as the off switch: the
-// window controller's ceiling is one, so every record stays plain even
-// under concurrency.
-func TestCoalesceDisabledByConfig(t *testing.T) {
-	c := NewWindowController(1, nil)
-	for i := 0; i < 10; i++ {
-		if win, changed := c.ObserveFlush(1, 5); win != 1 || changed {
-			t.Fatalf("window grew past a ceiling of 1: %d", win)
-		}
 	}
 }

@@ -425,13 +425,6 @@ type StubStats struct {
 	// coalescing saved is CoalescedSubs - CoalescedRecords.
 	CoalescedRecords uint64
 	CoalescedSubs    uint64
-	// CoalesceWindow is the adaptive controller's current window;
-	// CoalesceGrows/CoalesceShrinks its AIMD adaptation counts, and
-	// CoalesceState its last move ("idle", "grow", "shrink", "steady").
-	CoalesceWindow  int
-	CoalesceGrows   uint64
-	CoalesceShrinks uint64
-	CoalesceState   string
 }
 
 // Exporter publishes one component of a local system on the network.
@@ -946,10 +939,9 @@ type Stub struct {
 	// pumping. The holder is the demux loop.
 	recvTok chan struct{}
 
-	// coal is the flush queue concurrent senders coalesce through, and win
-	// the adaptive controller sizing its drains (see coalesce.go).
+	// coal is the flush queue concurrent senders coalesce through (see
+	// coalesce.go).
 	coal coalescer
-	win  *WindowController
 	cmon CoalesceMonitor
 
 	// pumping is set while the token holder is inside a wire round
@@ -1020,13 +1012,6 @@ type StubConfig struct {
 	// epoch so reconnects always bind the epoch in force at that moment.
 	// Nil (or a 0 return) keeps the pre-epoch wire format.
 	Epoch func() uint64
-
-	// CoalesceMax caps the adaptive coalescing window — the most
-	// concurrent requests one sealed record may carry. 0 means
-	// DefaultCoalesceMax; 1 disables coalescing (every request seals its
-	// own plain record, the pre-coalescing wire behavior); values above
-	// MaxCoalesce are clamped.
-	CoalesceMax int
 }
 
 // EventRecorder is the structural journal hook (see internal/journal),
@@ -1057,7 +1042,6 @@ func NewStub(cfg StubConfig) (*Stub, error) {
 		mon:     cfg.Monitor,
 		waiters: make(map[uint64]*waiter),
 		recvTok: make(chan struct{}, 1),
-		win:     NewWindowController(cfg.CoalesceMax, cfg.Clock),
 		cmon:    nopCoalesceMonitor{},
 	}
 	if cm, ok := cfg.Monitor.(CoalesceMonitor); ok {
@@ -1083,7 +1067,6 @@ func (s *Stub) Init(*core.Ctx) error { return nil }
 
 // Stats returns a snapshot of the pipelining counters.
 func (s *Stub) Stats() StubStats {
-	ws := s.win.Stats()
 	return StubStats{
 		Issued:           s.issued.Load(),
 		Completed:        s.completed.Load(),
@@ -1094,10 +1077,6 @@ func (s *Stub) Stats() StubStats {
 		Records:          s.records.Load(),
 		CoalescedRecords: s.coalRecords.Load(),
 		CoalescedSubs:    s.coalSubs.Load(),
-		CoalesceWindow:   ws.Window,
-		CoalesceGrows:    ws.Grows,
-		CoalesceShrinks:  ws.Shrinks,
-		CoalesceState:    ws.State,
 	}
 }
 
@@ -1382,14 +1361,6 @@ func (s *Stub) finish(w *waiter, res result) (core.Message, error) {
 		s.completed.Add(1)
 	} else {
 		s.failed.Add(1)
-		if errors.Is(res.err, core.ErrDeadline) || errors.Is(res.err, core.ErrOverloaded) {
-			// A shed verdict is the adaptive controller's shrink signal:
-			// the pipeline was deeper than the remote side (or the budget)
-			// could absorb.
-			if win, changed := s.win.ObserveShed(); changed {
-				s.cmon.StubCoalesceWindow(s.name, win)
-			}
-		}
 	}
 	s.inflight.Add(-1)
 	s.mon.StubInflight(s.name, -1)

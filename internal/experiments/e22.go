@@ -40,17 +40,11 @@ type e22Result struct {
 // e22Run drives `calls` echo requests through one stub at the given
 // pipeline depth (concurrent callers, each issuing its share
 // sequentially) and reports how many pump rounds — wire round trips — the
-// workload consumed, plus the stub's accounting snapshot.
-func e22Run(depth, calls int, rtt time.Duration) (e22Result, error) {
-	return e22RunCfg(depth, calls, rtt, 0, nil)
-}
-
-// e22RunCfg is e22Run with the knobs E27 sweeps: coalesceMax is handed to
-// the stub verbatim (0 = adaptive default, 1 = coalescing off, else the
-// window ceiling), and when lat is non-nil it must hold `calls` slots —
-// worker w stores its i-th call's latency at lat[w*(calls/depth)+i], so
-// the slice is written race-free and p99 can be cut from it afterwards.
-func e22RunCfg(depth, calls int, rtt time.Duration, coalesceMax int, lat []time.Duration) (res e22Result, err error) {
+// workload consumed, plus the stub's accounting snapshot. When lat is
+// non-nil it must hold `calls` slots — worker w stores its i-th call's
+// latency at lat[w*(calls/depth)+i], so the slice is written race-free
+// and E27 can cut p99 from it afterwards.
+func e22Run(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Result, err error) {
 	vendor := cryptoutil.NewSigner("intel")
 	net := netsim.New()
 
@@ -89,7 +83,6 @@ func e22RunCfg(depth, calls int, rtt time.Duration, coalesceMax int, lat []time.
 		RemoteEndpoint: "cloud",
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("e22-cli"),
-		CoalesceMax:    coalesceMax,
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
 			q, err := core.DecodeQuote(evidence)
 			if err != nil {
@@ -169,7 +162,7 @@ func E22Pipelining() (Table, error) {
 	const rtt = time.Millisecond
 	rounds := make(map[int]int64)
 	for _, depth := range []int{1, 4, 16, 64} {
-		r, err := e22Run(depth, calls, rtt)
+		r, err := e22Run(depth, calls, rtt, nil)
 		if err != nil {
 			return t, err
 		}
@@ -238,7 +231,7 @@ func E22Baseline() ([]E22Depth, error) {
 	const rtt = time.Millisecond
 	out := make([]E22Depth, 0, 4)
 	for _, depth := range []int{1, 4, 16, 64} {
-		r, err := e22Run(depth, calls, rtt)
+		r, err := e22Run(depth, calls, rtt, nil)
 		if err != nil {
 			return nil, err
 		}

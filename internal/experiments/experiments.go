@@ -127,7 +127,7 @@ func All() []Experiment {
 		{ID: "E24", Name: "fleet black box (auditor replay)", Run: E24Audit},
 		{ID: "E25", Name: "chain-aware policy (mosaic denial)", Run: E25Policy},
 		{ID: "E26", Name: "rolling replace under config epochs", Run: E26Rolling},
-		{ID: "E27", Name: "wire-level frame coalescing + adaptive window", Run: E27Coalescing},
+		{ID: "E27", Name: "wire-level frame coalescing", Run: E27Coalescing},
 	}
 }
 

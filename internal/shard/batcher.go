@@ -1,24 +1,20 @@
 package shard
 
 import (
-	"errors"
 	"sync"
 	"time"
 
-	"lateral/internal/core"
 	"lateral/internal/distributed"
 )
 
+// defaultFrame is the frame size of a Batcher built with max 0.
+const defaultFrame = 64
+
 // Batcher accumulates one tenant's readings and flushes them through
-// Router.DoBatch in frames sized by the adaptive window controller the
-// distributed layer's frame coalescer uses — replacing the fixed
-// 256-reading frame the first sharded fleet shipped with. The controller
-// grows the frame while arrivals saturate it (AIMD additive increase,
-// slow-start doubling under backlog) and halves it when the fabric sheds
-// (a quota refusal or deadline verdict), so frame size tracks the
-// observed arrival rate instead of a hand-tuned constant: slow meters pay
-// near-zero latency, hot tenants amortize one AEAD pass over ever-larger
-// frames, and an overloaded shard immediately sees smaller frames.
+// Router.DoBatch in fixed frames of max readings. A shed frame (a quota
+// refusal, admission limit, or deadline verdict) hands its typed error to
+// the caller exactly as a direct DoBatch would, and the next frame is
+// full size again.
 //
 // A Batcher is safe for concurrent use; frames never mix routing keys
 // (a frame lands on one shard), so a key change flushes the frame in
@@ -26,7 +22,7 @@ import (
 type Batcher struct {
 	rt     *Router
 	tenant string
-	win    *distributed.WindowController
+	max    int
 
 	mu      sync.Mutex
 	key     string
@@ -35,21 +31,23 @@ type Batcher struct {
 	frames  int
 }
 
-// NewBatcher builds an adaptive batcher for tenant's readings. max caps
-// the frame size exactly as distributed.NewWindowController interprets it
-// (0 selects the default ceiling; the hard cap, distributed.MaxCoalesce,
-// matches the old fixed 256-reading frame). clock is the controller's
-// time source (nil = time.Now); simulations inject a virtual clock so the
-// observed arrival rate is deterministic.
+// NewBatcher builds a batcher that sends tenant's readings in frames of
+// max readings: 0 means 64, and values above distributed.MaxCoalesce are
+// clamped to it. clock is unused.
 func NewBatcher(rt *Router, tenant string, max int, clock func() time.Time) *Batcher {
-	return &Batcher{rt: rt, tenant: tenant, win: distributed.NewWindowController(max, clock)}
+	switch {
+	case max <= 0:
+		max = defaultFrame
+	case max > distributed.MaxCoalesce:
+		max = distributed.MaxCoalesce
+	}
+	return &Batcher{rt: rt, tenant: tenant, max: max}
 }
 
 // Add appends one reading bound for the shard owning key, flushing first
-// when the key changes and after when the frame reaches the adaptive
-// window. It returns the flushed frame's results (nil when nothing
-// flushed). The results slice is reused across flushes — callers consume
-// it before the next Add.
+// when the key changes and after when the frame is full. It returns the
+// flushed frame's results (nil when nothing flushed). The results slice
+// is reused across flushes — callers consume it before the next Add.
 func (b *Batcher) Add(key string, r distributed.Reading, deadline time.Time) ([]distributed.BatchResult, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -62,59 +60,31 @@ func (b *Batcher) Add(key string, r distributed.Reading, deadline time.Time) ([]
 	}
 	b.key = key
 	b.pending = append(b.pending, r)
-	if len(b.pending) >= b.win.Window() {
+	if len(b.pending) >= b.max {
 		return b.flushLocked(deadline)
 	}
 	return nil, nil
 }
 
-// Flush drains everything pending, in window-sized frames.
+// Flush sends everything pending as one frame.
 func (b *Batcher) Flush(deadline time.Time) ([]distributed.BatchResult, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var last []distributed.BatchResult
-	for len(b.pending) > 0 {
-		res, err := b.flushLocked(deadline)
-		if err != nil {
-			return res, err
-		}
-		last = res
+	if len(b.pending) == 0 {
+		return nil, nil
 	}
-	return last, nil
+	return b.flushLocked(deadline)
 }
 
-// flushLocked sends one frame of at most a window of readings and adapts
-// the controller: the drain observation grows the window while arrivals
-// saturate it, a shed verdict from the fabric (tenant quota, admission
-// limit, deadline) halves it. A failed frame's readings are consumed —
-// the caller owns stream-level retry, same as a direct DoBatch.
+// flushLocked sends the pending readings as one frame. A failed frame's
+// readings are consumed — the caller owns stream-level retry, same as a
+// direct DoBatch.
 func (b *Batcher) flushLocked(deadline time.Time) ([]distributed.BatchResult, error) {
-	n := len(b.pending)
-	if win := b.win.Window(); n > win {
-		n = win
-	}
-	frame := b.pending[:n]
-	rest := copy(b.pending, b.pending[n:])
-	backlog := len(b.pending) - n
-
-	res, err := b.rt.DoBatch(b.tenant, b.key, frame, b.results[:0], deadline)
-	b.pending = b.pending[:rest]
+	res, err := b.rt.DoBatch(b.tenant, b.key, b.pending, b.results[:0], deadline)
+	b.pending = b.pending[:0]
 	b.results = res
 	b.frames++
-	if err != nil {
-		if errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDeadline) {
-			b.win.ObserveShed()
-		}
-		return res, err
-	}
-	b.win.ObserveFlush(n, backlog)
-	return res, nil
-}
-
-// Stats snapshots the controller: current window, AIMD adaptation counts,
-// achieved frame sizes, and the observed arrival rate.
-func (b *Batcher) Stats() distributed.WindowStats {
-	return b.win.Stats()
+	return res, err
 }
 
 // Frames returns how many frames the batcher has dispatched.

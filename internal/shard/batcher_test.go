@@ -1,12 +1,13 @@
 package shard
 
-// Tests for the adaptive ingestion batcher: frame sizes must grow with the
-// observed arrival rate (AIMD additive increase while frames saturate the
-// window) and halve on a shed verdict, all pinned on a virtual clock.
+// Tests for the ingestion batcher: fixed frames of max readings, a shed
+// frame's typed error with no effect on the next frame's size, and frames
+// that never mix routing keys.
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,16 +16,19 @@ import (
 )
 
 // shedBackend answers batches OK until armed, then refuses one frame with
-// a typed overload error — the fabric's shed verdict.
+// a typed overload error — the fabric's shed verdict. It records the size
+// and routing key of every frame it sees.
 type shedBackend struct {
 	fakeBackend
 	shedNext bool
 	frames   []int
+	keys     []string
 }
 
 func (s *shedBackend) DoBatch(key string, readings []distributed.Reading, results []distributed.BatchResult, deadline time.Time) ([]distributed.BatchResult, error) {
 	s.mu.Lock()
 	s.frames = append(s.frames, len(readings))
+	s.keys = append(s.keys, key)
 	shed := s.shedNext
 	s.shedNext = false
 	s.mu.Unlock()
@@ -34,105 +38,77 @@ func (s *shedBackend) DoBatch(key string, readings []distributed.Reading, result
 	return s.fakeBackend.DoBatch(key, readings, results, deadline)
 }
 
-func (s *shedBackend) frameSizes() []int {
+func (s *shedBackend) sent() (frames []int, keys []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.frames...)
+	return append([]int(nil), s.frames...), append([]string(nil), s.keys...)
 }
 
-func newBatcherFixture(t *testing.T, max int, clock func() time.Time) (*Batcher, *shedBackend) {
+func newBatcherFixture(t *testing.T, max int) (*Batcher, *shedBackend) {
 	t.Helper()
 	rt := NewRouter(Config{})
 	b := &shedBackend{}
 	if err := rt.Join("cell-0", b); err != nil {
 		t.Fatal(err)
 	}
-	return NewBatcher(rt, "t00", max, clock), b
+	return NewBatcher(rt, "t00", max, nil), b
 }
 
 var _ Backend = (*shedBackend)(nil)
 
-// TestBatcherGrowsWithArrivalRate feeds a steady stream through one key
-// and pins the frame-size trajectory: every frame saturates the window, so
-// the controller adds one each flush — 1, 2, 3, 4, ... — instead of
-// holding a fixed 256.
-func TestBatcherGrowsWithArrivalRate(t *testing.T) {
-	now := time.Unix(2000, 0)
-	clock := func() time.Time { return now }
-	ba, be := newBatcherFixture(t, 8, clock)
+var testReading = distributed.Reading{Op: "reading", Data: []byte("m=1")}
 
-	reading := distributed.Reading{Op: "reading", Data: []byte("m=1")}
-	for i := 0; i < 1+2+3+4+5; i++ {
-		now = now.Add(10 * time.Millisecond)
-		if _, err := ba.Add("t00/b0", reading, time.Time{}); err != nil {
+// TestBatcherSendsFixedFrames pins the frame size: with max 4, ten Adds
+// send two full frames and Flush sends the remaining two.
+func TestBatcherSendsFixedFrames(t *testing.T) {
+	ba, be := newBatcherFixture(t, 4)
+	flushed := 0
+	for i := 0; i < 10; i++ {
+		res, err := ba.Add("t00/b0", testReading, time.Time{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		flushed += len(res)
 	}
-	want := []int{1, 2, 3, 4, 5}
-	got := be.frameSizes()
-	if len(got) != len(want) {
-		t.Fatalf("frames = %v, want %v", got, want)
+	if flushed != 8 {
+		t.Errorf("Adds returned %d results, want 8", flushed)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("frames = %v, want %v", got, want)
-		}
+	res, err := ba.Flush(time.Time{})
+	if err != nil || len(res) != 2 {
+		t.Fatalf("Flush = %d results, %v; want 2", len(res), err)
 	}
-	st := ba.Stats()
-	if st.Window != 6 || st.Grows != 5 || st.Shrinks != 0 {
-		t.Errorf("stats = %+v, want window 6 after 5 grows", st)
+	if res, err := ba.Flush(time.Time{}); res != nil || err != nil {
+		t.Errorf("empty Flush = %v, %v; want nothing sent", res, err)
 	}
-	// 15 readings between the first flush (t+10ms) and the fifth (t+150ms).
-	if want := 15.0 / 0.14; st.RateHz < want-0.01 || st.RateHz > want+0.01 {
-		t.Errorf("rate = %.2f Hz, want %.2f", st.RateHz, want)
+	if frames, _ := be.sent(); !reflect.DeepEqual(frames, []int{4, 4, 2}) {
+		t.Errorf("frames = %v, want [4 4 2]", frames)
 	}
-	if ba.Frames() != 5 {
-		t.Errorf("frames dispatched = %d, want 5", ba.Frames())
+	if ba.Frames() != 3 {
+		t.Errorf("frames dispatched = %d, want 3", ba.Frames())
 	}
 }
 
-// TestBatcherShrinksOnShed halves the window when the fabric sheds a
-// frame, then re-grows additively — the AIMD sawtooth.
-func TestBatcherShrinksOnShed(t *testing.T) {
-	ba, be := newBatcherFixture(t, 8, nil)
-	reading := distributed.Reading{Op: "reading", Data: []byte("m=1")}
-
-	// Grow the window to 4: frames of 1, 2, 3.
-	for i := 0; i < 1+2+3; i++ {
-		if _, err := ba.Add("t00/b0", reading, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if win := ba.Stats().Window; win != 4 {
-		t.Fatalf("window = %d after warm-up, want 4", win)
-	}
-
-	// The next frame is shed: its readings are consumed, the window halves.
+// TestBatcherShedFrameKeepsSize sheds one frame: its caller gets the typed
+// ErrOverloaded, as from a direct DoBatch, and the next frame is full size.
+func TestBatcherShedFrameKeepsSize(t *testing.T) {
+	ba, be := newBatcherFixture(t, 4)
 	be.mu.Lock()
 	be.shedNext = true
 	be.mu.Unlock()
 	var err error
 	for i := 0; i < 4; i++ {
-		if _, err = ba.Add("t00/b0", reading, time.Time{}); err != nil {
-			break
-		}
+		_, err = ba.Add("t00/b0", testReading, time.Time{})
 	}
 	if !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("shed frame err = %v, want ErrOverloaded", err)
 	}
-	st := ba.Stats()
-	if st.Window != 2 || st.Shrinks != 1 {
-		t.Errorf("stats after shed = %+v, want window 2, 1 shrink", st)
-	}
-
-	// Service recovers; the very next saturated frame grows again.
-	for i := 0; i < 2; i++ {
-		if _, err := ba.Add("t00/b0", reading, time.Time{}); err != nil {
+	for i := 0; i < 4; i++ {
+		if _, err := ba.Add("t00/b0", testReading, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if win := ba.Stats().Window; win != 3 {
-		t.Errorf("window = %d after recovery, want 3", win)
+	if frames, _ := be.sent(); !reflect.DeepEqual(frames, []int{4, 4}) {
+		t.Errorf("frames = %v, want [4 4]", frames)
 	}
 }
 
@@ -140,19 +116,11 @@ func TestBatcherShrinksOnShed(t *testing.T) {
 // a key change flushes the partial frame so every sealed frame lands on
 // exactly one shard.
 func TestBatcherFlushesOnKeyChange(t *testing.T) {
-	ba, be := newBatcherFixture(t, 8, nil)
-	reading := distributed.Reading{Op: "reading", Data: []byte("m=1")}
-
-	// Window is 1: first Add flushes. Grow to 2, then change key with one
-	// reading pending.
-	if _, err := ba.Add("t00/b0", reading, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ba.Add("t00/b0", reading, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ba.Add("t00/b1", reading, time.Time{}); err != nil {
-		t.Fatal(err)
+	ba, be := newBatcherFixture(t, 8)
+	for _, key := range []string{"t00/b0", "t00/b0", "t00/b1"} {
+		if _, err := ba.Add(key, testReading, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := ba.Flush(time.Time{})
 	if err != nil {
@@ -161,16 +129,8 @@ func TestBatcherFlushesOnKeyChange(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("final flush returned %d results, want 1", len(res))
 	}
-	// Frames: [1] (window 1), [1] (partial, key change), [1] (flush).
-	got := be.frameSizes()
-	if len(got) != 3 {
-		t.Fatalf("frames = %v, want 3 single-reading frames", got)
-	}
-	total := 0
-	for _, n := range got {
-		total += n
-	}
-	if total != 3 {
-		t.Fatalf("readings dispatched = %d, want 3", total)
+	frames, keys := be.sent()
+	if !reflect.DeepEqual(frames, []int{2, 1}) || !reflect.DeepEqual(keys, []string{"t00/b0", "t00/b1"}) {
+		t.Fatalf("frames = %v for keys %v, want [2 1] for [t00/b0 t00/b1]", frames, keys)
 	}
 }

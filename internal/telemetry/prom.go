@@ -156,12 +156,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			}
 		}
 
-		// Coalescing. Emitted only when some stub coalesced (or its window
-		// controller adapted): purely sequential workloads keep their
-		// exposition byte-identical.
+		// Coalescing. Emitted only when some stub coalesced: purely
+		// sequential workloads keep their exposition byte-identical.
 		coalesced := false
 		for _, s := range stubs {
-			if s.CoalRecords > 0 || s.CoalWindow > 0 {
+			if s.CoalRecords > 0 {
 				coalesced = true
 				break
 			}
@@ -174,8 +173,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 					func(s StubSummary) int64 { return s.CoalSubs }},
 				{"lateral_stub_coalesce_saved_total", "AEAD passes saved by coalescing (sub-frames minus records).", "counter",
 					func(s StubSummary) int64 { return s.CoalSubs - s.CoalRecords }},
-				{"lateral_stub_coalesce_window", "Adaptive coalescing window chosen by the AIMD controller.", "gauge",
-					func(s StubSummary) int64 { return s.CoalWindow }},
 			}
 			for _, c := range ccols {
 				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", c.name, c.help, c.name, c.typ)
@@ -430,21 +427,21 @@ func (m *Metrics) WriteSummary(w io.Writer) {
 		}
 		coalesced := false
 		for _, s := range stubs {
-			if s.CoalRecords > 0 || s.CoalWindow > 0 {
+			if s.CoalRecords > 0 {
 				coalesced = true
 				break
 			}
 		}
 		if coalesced {
-			fmt.Fprintf(w, "\n%-16s %9s %10s %11s %11s %7s\n",
-				"stub", "coalesced", "subframes", "avg-window", "aead-saved", "window")
+			fmt.Fprintf(w, "\n%-16s %9s %10s %11s %11s\n",
+				"stub", "coalesced", "subframes", "avg-window", "aead-saved")
 			for _, s := range stubs {
 				avg := float64(0)
 				if s.CoalRecords > 0 {
 					avg = float64(s.CoalSubs) / float64(s.CoalRecords)
 				}
-				fmt.Fprintf(w, "%-16s %9d %10d %11.2f %11d %7d\n",
-					s.Stub, s.CoalRecords, s.CoalSubs, avg, s.CoalSubs-s.CoalRecords, s.CoalWindow)
+				fmt.Fprintf(w, "%-16s %9d %10d %11.2f %11d\n",
+					s.Stub, s.CoalRecords, s.CoalSubs, avg, s.CoalSubs-s.CoalRecords)
 			}
 		}
 	}

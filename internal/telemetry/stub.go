@@ -31,12 +31,10 @@ type StubStats struct {
 	Orphans  atomic.Int64 // counter: replies dropped for want of a waiter
 
 	// Coalescing (distributed.CoalesceMonitor, also structural): records
-	// sealed carrying ≥2 sub-frames, the sub-frames they carried, and the
-	// adaptive controller's current window. AEAD passes saved is
-	// CoalSubs - CoalRecords.
+	// sealed carrying ≥2 sub-frames and the sub-frames they carried. AEAD
+	// passes saved is CoalSubs - CoalRecords.
 	CoalRecords atomic.Int64 // counter: coalesced records sealed
 	CoalSubs    atomic.Int64 // counter: sub-frames those records carried
-	CoalWindow  atomic.Int64 // gauge: adaptive coalescing window
 }
 
 type stubState struct {
@@ -97,12 +95,6 @@ func (m *Metrics) StubCoalesce(stub string, subframes int) {
 	ss.CoalSubs.Add(int64(subframes))
 }
 
-// StubCoalesceWindow reports the adaptive coalescing window after a
-// controller adaptation.
-func (m *Metrics) StubCoalesceWindow(stub string, window int) {
-	m.stub.cell(stub).CoalWindow.Store(int64(window))
-}
-
 // StubSummary is one stub's aggregate view.
 type StubSummary struct {
 	Stub     string
@@ -114,7 +106,6 @@ type StubSummary struct {
 
 	CoalRecords int64
 	CoalSubs    int64
-	CoalWindow  int64
 }
 
 // Stubs returns per-stub summaries, sorted by stub name.
@@ -136,7 +127,6 @@ func (m *Metrics) Stubs() []StubSummary {
 			Orphans:     ss.Orphans.Load(),
 			CoalRecords: ss.CoalRecords.Load(),
 			CoalSubs:    ss.CoalSubs.Load(),
-			CoalWindow:  ss.CoalWindow.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Stub < out[j].Stub })
