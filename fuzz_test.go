@@ -404,7 +404,7 @@ func FuzzPolicyDecode(f *testing.F) {
 // text that decodes to the identical schedule (the codec's roundtrip
 // contract, also enforced by simtest.Validate).
 func FuzzScheduleDecode(f *testing.F) {
-	f.Add(simtest.EncodeSchedule(simtest.DefaultSchedule(3)))
+	f.Add(simtest.EncodeSchedule(simtest.SoakSchedule(1, 3)))
 	f.Add("@150ms crash svc-2\n@200ms heal svc-2\n")
 	f.Add("@10ms partition lb-svc-1 svc-1\n@5ms delay 7 25 2ms 1\n")
 	f.Add("@2ms skew 250ms\n@0s dup svc-1 2\n@1ms tamper\n")

@@ -14,7 +14,7 @@ import (
 )
 
 func TestMintTTLDecays(t *testing.T) {
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	root := cap.NewRoot(gate("export"), cap.Invoke|cap.Grant)
 	c, err := root.MintTTL(cap.Invoke, 7, time.Minute, clk.Now)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestMintTTLDecays(t *testing.T) {
 }
 
 func TestExpiredCapCannotMint(t *testing.T) {
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	root := cap.NewRoot(gate("export"), cap.Invoke|cap.Grant)
 	c, err := root.MintTTL(cap.Invoke|cap.Grant, 1, time.Minute, clk.Now)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestExpiredCapCannotMint(t *testing.T) {
 }
 
 func TestChildNeverOutlivesDecayingParent(t *testing.T) {
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	root := cap.NewRoot(gate("export"), cap.Invoke|cap.Grant)
 	parent, err := root.MintTTL(cap.Invoke|cap.Grant, 1, time.Minute, clk.Now)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestChildNeverOutlivesDecayingParent(t *testing.T) {
 }
 
 func TestZeroExpiryNeverDecays(t *testing.T) {
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	root := cap.NewRoot(gate("export"), cap.Invoke|cap.Grant)
 	c, err := root.Mint(cap.Invoke, 1)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestZeroExpiryNeverDecays(t *testing.T) {
 func TestRevokeBeatsTTL(t *testing.T) {
 	// Revocation and decay are independent: a revoked cap reports
 	// ErrRevoked even while its TTL is live.
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	root := cap.NewRoot(gate("export"), cap.Invoke|cap.Grant)
 	c, err := root.MintTTL(cap.Invoke, 1, time.Hour, clk.Now)
 	if err != nil {

@@ -399,18 +399,12 @@ func (p *Pool) Admit(spec ReplicaSpec) error {
 	// handshake takes the same lock their Connect probes do.
 	r.mu.Lock()
 	err = stub.Connect()
+	p.settle(r, err, "")
 	r.mu.Unlock()
-	switch {
-	case err == nil:
-		p.setState(r, StateHealthy, "")
-		return nil
-	case errors.Is(err, ErrAttestation):
-		p.setState(r, StateQuarantined, err.Error())
-		return fmt.Errorf("admit %s: %w", spec.Name, err)
-	default:
-		p.setState(r, StateDown, err.Error())
+	if err != nil {
 		return fmt.Errorf("admit %s: %w", spec.Name, err)
 	}
+	return nil
 }
 
 // Journal event kinds the pool emits; the journal package's canonical
@@ -441,11 +435,14 @@ func (p *Pool) record(kind, replica, detail string) {
 // reorders or rolls back — concurrent failover and health rounds
 // serialize here, which is what makes "quarantine is journaled exactly
 // once" a theorem rather than a race. A no-op transition (old == new)
-// emits nothing.
+// emits nothing, and so does one for a replica that is no longer the
+// member under its name: a straggling caller whose failure lands after
+// Leave evicted the replica (or after a rejoin reused the name) must not
+// journal a state for a member the journal already recorded as gone.
 func (p *Pool) setState(r *Replica, s State, detail string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if r.state == StateQuarantined || r.state == s {
+	if p.byName[r.name] != r || r.state == StateQuarantined || r.state == s {
 		return
 	}
 	r.state = s
@@ -461,6 +458,43 @@ func (p *Pool) setState(r *Replica, s State, detail string) {
 		p.tombstone[r.name] = detail
 	}
 	p.cfg.Monitor.ReplicaState(p.cfg.Fleet, r.name, s == StateHealthy, s == StateQuarantined)
+}
+
+// settle commits the verdict of the handshake r just ran: Healthy (with
+// detail up), Quarantined on an evidence mismatch, or Down with the
+// session closed. The caller holds r.mu across the handshake and this
+// call, as every path that changes r's session does, so a failing
+// caller's Close lands before the handshake or after the commit.
+func (p *Pool) settle(r *Replica, err error, up string) {
+	switch {
+	case err == nil:
+		p.setState(r, StateHealthy, up)
+	case errors.Is(err, ErrAttestation):
+		p.setState(r, StateQuarantined, err.Error())
+	default:
+		p.markDown(r, err.Error())
+	}
+}
+
+// markDown closes r's session and commits Down. The caller holds r.mu.
+func (p *Pool) markDown(r *Replica, detail string) {
+	r.stub.Close()
+	p.setState(r, StateDown, detail)
+}
+
+// failover is a failed call's verdict on r: the replica is down until a
+// health round re-attests it. The session close and the Down transition
+// commit in one r.mu section (see settle), and the failover event refers to
+// an already-recorded state.
+func (p *Pool) failover(r *Replica, err error) {
+	r.mu.Lock()
+	p.markDown(r, err.Error())
+	r.mu.Unlock()
+	r.failovers.Add(1)
+	p.mu.Lock()
+	p.record(KindFailover, r.name, err.Error())
+	p.mu.Unlock()
+	p.cfg.Monitor.ReplicaFailover(p.cfg.Fleet, r.name)
 }
 
 // healthy returns the currently dispatchable replicas.
@@ -640,17 +674,8 @@ func (p *Pool) dispatch(key string, deadline time.Time, call func(*Replica) erro
 		if errors.Is(err, distributed.ErrRemote) || errors.Is(err, core.ErrPolicy) {
 			return err
 		}
-		// Operational failure: the replica is down until a health check
-		// re-attests it. Fail the call over without delay. The down
-		// transition commits (and journals) first; the failover event
-		// refers to an already-recorded state.
-		p.setState(r, StateDown, err.Error())
-		r.stub.Close()
-		r.failovers.Add(1)
-		p.mu.Lock()
-		p.record(KindFailover, r.name, err.Error())
-		p.mu.Unlock()
-		p.cfg.Monitor.ReplicaFailover(p.cfg.Fleet, r.name)
+		// Operational failure: fail the call over without delay.
+		p.failover(r, err)
 		lastErr = err
 		if attempt+1 < p.cfg.MaxAttempts {
 			r.retries.Add(1)
@@ -739,9 +764,10 @@ func (p *Pool) maybeCheck() {
 // Probes run concurrently (bounded by HealthFanout): a fleet where one
 // replica's probe stalls for PingTimeout must not stretch the round by
 // N×timeout. Each probe touches only its own replica's endpoint and
-// session, so probes commute; the resulting state transitions are applied
-// sequentially in admission order afterwards, keeping rounds deterministic
-// for a given set of probe outcomes.
+// session, so probes commute, and each commits its verdict inside the
+// replica's lock, in the same section as the session change it reflects
+// (see settle). With HealthFanout 1 a round probes and commits in
+// admission order, which keeps simulated rounds deterministic.
 func (p *Pool) CheckNow() {
 	p.mu.Lock()
 	replicas := make([]*Replica, len(p.replicas))
@@ -752,31 +778,24 @@ func (p *Pool) CheckNow() {
 	}
 	p.mu.Unlock()
 
-	type verdict struct {
-		probed bool
-		err    error
-		slow   bool
-	}
-	verdicts := make([]verdict, len(replicas))
 	probe := func(i int) {
 		r := replicas[i]
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		switch states[i] {
 		case StateHealthy:
-			r.mu.Lock()
 			start := p.cfg.Clock()
 			err := r.stub.Ping()
-			elapsed := p.cfg.Clock().Sub(start)
-			r.mu.Unlock()
-			verdicts[i] = verdict{
-				probed: true,
-				err:    err,
-				slow:   p.cfg.PingTimeout > 0 && elapsed > p.cfg.PingTimeout,
+			switch {
+			case err != nil:
+				p.markDown(r, err.Error())
+			case p.cfg.PingTimeout > 0 && p.cfg.Clock().Sub(start) > p.cfg.PingTimeout:
+				p.markDown(r, "probe slow")
 			}
 		case StateDown:
-			r.mu.Lock()
-			err := r.stub.Connect()
-			r.mu.Unlock()
-			verdicts[i] = verdict{probed: true, err: err}
+			// A failed reconnect leaves the replica down; the next round
+			// tries again.
+			p.settle(r, r.stub.Connect(), "")
 		}
 	}
 	if p.cfg.HealthFanout == 1 || len(replicas) == 1 {
@@ -799,32 +818,6 @@ func (p *Pool) CheckNow() {
 			}(i)
 		}
 		wg.Wait()
-	}
-
-	for i, r := range replicas {
-		v := verdicts[i]
-		if !v.probed {
-			continue
-		}
-		switch states[i] {
-		case StateHealthy:
-			if v.err != nil || v.slow {
-				detail := "probe slow"
-				if v.err != nil {
-					detail = v.err.Error()
-				}
-				p.setState(r, StateDown, detail)
-				r.stub.Close()
-			}
-		case StateDown:
-			switch {
-			case v.err == nil:
-				p.setState(r, StateHealthy, "")
-			case errors.Is(v.err, ErrAttestation):
-				p.setState(r, StateQuarantined, v.err.Error())
-				// else: still down; next round tries again.
-			}
-		}
 	}
 }
 

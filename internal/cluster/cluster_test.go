@@ -13,6 +13,7 @@ import (
 	"lateral/internal/core"
 	"lateral/internal/cryptoutil"
 	"lateral/internal/distributed"
+	"lateral/internal/journal"
 	"lateral/internal/netsim"
 	"lateral/internal/sgx"
 	"lateral/internal/telemetry"
@@ -939,5 +940,120 @@ func TestAdmitHandshakeExcludesHealthRound(t *testing.T) {
 	if got := f.info("anon-1").State; got != StateHealthy {
 		t.Fatalf("anon-1 = %v after admit and health round, want healthy", got)
 	}
+	f.mustBump("k")
+}
+
+// replica returns the live member under name.
+func (f *fixture) replica(name string) *Replica {
+	f.pool.mu.Lock()
+	defer f.pool.mu.Unlock()
+	return f.pool.byName[name]
+}
+
+// holdFailedCall parks the first failed call reported against target in
+// ReplicaCall — after the call discharged its inflight charge, before its
+// failure path runs — until release is closed.
+type holdFailedCall struct {
+	nopMonitor
+	target  string
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (m *holdFailedCall) ReplicaCall(_, replica string, failed bool) {
+	if failed && replica == m.target {
+		m.once.Do(func() {
+			close(m.held)
+			<-m.release
+		})
+	}
+}
+
+// TestLeaveIgnoresStragglingCallFailure pins that a call failing on a
+// replica that has left by the time its failure path runs journals
+// nothing for it. The failed call's inflight charge is already
+// discharged, so Leave drains, evicts and journals the leave while the
+// caller is parked; the caller's Down transition then lands on a departed
+// member. The journal export must still replay.
+func TestLeaveIgnoresStragglingCallFailure(t *testing.T) {
+	signer := cryptoutil.NewSigner("anon-journal")
+	counter := &journal.MemCounter{}
+	jnl, err := journal.New(journal.Config{Name: "anon", Signer: signer, Counter: counter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := &holdFailedCall{target: replicaName(1), held: make(chan struct{}), release: make(chan struct{})}
+	f := newFleet(t, 2, nil, func(c *Config) {
+		c.Journal = jnl
+		c.Monitor = mon
+		c.Balancer = &scriptedBalancer{names: []string{replicaName(1), replicaName(2)}}
+	})
+	f.part.Isolate(replicaName(1))
+	callErr := make(chan error, 1)
+	go func() { callErr <- f.bump("k") }()
+	<-mon.held
+	if err := f.pool.Leave(replicaName(1)); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	close(mon.release)
+	if err := <-callErr; err != nil {
+		t.Fatalf("call did not fail over to the survivor: %v", err)
+	}
+	if err := jnl.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	trusted, err := counter.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.Replay(jnl.Export(), signer.Public(), trusted); err != nil {
+		t.Fatalf("journal replay after a straggling failure: %v", err)
+	}
+}
+
+// TestHealthRoundCommitsWithItsHandshake pins that a health round commits
+// each replica's verdict in the same r.mu section as the handshake it
+// reflects. The round reconnects two down replicas in admission order;
+// while it dials the second, that replica's pump runs a failed call's
+// failure path against the first, which the round has just reconnected.
+// The failure closes the first replica's session, so the round must not
+// leave it Healthy: every healthy replica must hold an open session.
+func TestHealthRoundCommitsWithItsHandshake(t *testing.T) {
+	f := newFleet(t, 0, nil, func(c *Config) { c.HealthFanout = 1 })
+	if err := f.pool.Admit(f.buildReplica(replicaName(1), false)); err != nil {
+		t.Fatal(err)
+	}
+	second := f.buildReplica(replicaName(2), false)
+	serve := second.Pump
+	var armed atomic.Bool
+	second.Pump = func() error {
+		if armed.CompareAndSwap(true, false) {
+			f.pool.failover(f.replica(replicaName(1)), errors.New("straggling call failed"))
+		}
+		return serve()
+	}
+	if err := f.pool.Admit(second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		f.part.Isolate(replicaName(i))
+	}
+	f.pool.CheckNow()
+	for i := 1; i <= 2; i++ {
+		if got := f.info(replicaName(i)).State; got != StateDown {
+			t.Fatalf("%s = %v while isolated, want down", replicaName(i), got)
+		}
+		f.part.Heal(replicaName(i))
+	}
+	armed.Store(true)
+	f.pool.CheckNow()
+	for i := 1; i <= 2; i++ {
+		name := replicaName(i)
+		if f.info(name).State == StateHealthy && !f.replica(name).stub.Connected() {
+			t.Fatalf("%s healthy over a closed session", name)
+		}
+	}
+	f.pool.CheckNow()
 	f.mustBump("k")
 }

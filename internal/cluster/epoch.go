@@ -31,7 +31,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 )
@@ -188,9 +187,7 @@ func (p *Pool) rekeyMembers(next uint64, fresh string) {
 		}
 		r.mu.Lock()
 		err := r.stub.Connect()
-		r.mu.Unlock()
-		switch {
-		case err == nil && pre == StateHealthy:
+		if err == nil && pre == StateHealthy {
 			// Healthy before, rekeyed fine: not a trust transition, so
 			// no journal entry — just leave the drain.
 			p.mu.Lock()
@@ -198,14 +195,10 @@ func (p *Pool) rekeyMembers(next uint64, fresh string) {
 				r.state = StateHealthy
 			}
 			p.mu.Unlock()
-		case err == nil:
-			p.setState(r, StateHealthy, fmt.Sprintf("rekeyed at epoch %d", next))
-		case errors.Is(err, ErrAttestation):
-			p.setState(r, StateQuarantined, err.Error())
-		default:
-			p.setState(r, StateDown, err.Error())
-			r.stub.Close()
+		} else {
+			p.settle(r, err, fmt.Sprintf("rekeyed at epoch %d", next))
 		}
+		r.mu.Unlock()
 		if em != nil {
 			em.ReplicaRekey(p.cfg.Fleet, r.name, err == nil)
 		}

@@ -80,7 +80,7 @@ func (l *simLag) Handle(core.Envelope) (core.Message, error) {
 func newSimSystem(t *testing.T) (*core.System, *simtest.Clock) {
 	t.Helper()
 	sys := core.NewSystem(core.NewMonolith(0))
-	clk := simtest.NewClock(0)
+	clk := simtest.NewClock()
 	sys.SetClock(clk)
 	return sys, clk
 }

@@ -447,6 +447,11 @@ type Exporter struct {
 	sessions map[string]*sessState // peer endpoint -> session
 	pendings map[string]*pendState
 
+	// hsMu serializes hellos (which draw from rand) and handshake
+	// finishes (Pending.Complete) across Serve passes, which pumps may
+	// run concurrently. Record traffic never takes it.
+	hsMu sync.Mutex
+
 	ops interner
 
 	// fault is the simulation harness's coalesce fault injector (see
@@ -649,25 +654,44 @@ func (e *Exporter) serveBatch(first netsim.Datagram) {
 func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
 	e.mu.Lock()
 	ss := e.sessions[dg.From]
-	pending := e.pendings[dg.From]
+	e.mu.Unlock()
+	if ss == nil {
+		var err error
+		if ss, err = e.handshake(dg); ss == nil {
+			return err
+		}
+	}
+	if IsCoalesced(dg.Payload) {
+		return e.openCoalesced(ss, dg, jobs)
+	}
+	j := jobPool.Get().(*job)
+	ok, err := e.openRequest(ss, dg, j)
+	if err == nil && ok {
+		*jobs = append(*jobs, j)
+	} else {
+		jobPool.Put(j)
+	}
+	return err
+}
+
+// handshake runs one handshake flight under hsMu: a client finish when a
+// handshake is pending for the peer, a client hello otherwise. When an
+// overlapping Serve pass established the peer's session first, the
+// datagram is a record on it, and handshake returns the session instead.
+func (e *Exporter) handshake(dg netsim.Datagram) (*sessState, error) {
+	e.hsMu.Lock()
+	defer e.hsMu.Unlock()
+	e.mu.Lock()
+	ss, pending := e.sessions[dg.From], e.pendings[dg.From]
 	e.mu.Unlock()
 	switch {
-	case ss != nil && IsCoalesced(dg.Payload):
-		return e.openCoalesced(ss, dg, jobs)
 	case ss != nil:
-		j := jobPool.Get().(*job)
-		ok, err := e.openRequest(ss, dg, j)
-		if err == nil && ok {
-			*jobs = append(*jobs, j)
-		} else {
-			jobPool.Put(j)
-		}
-		return err
+		return ss, nil
 	case pending != nil:
-		return e.complete(dg, pending)
+		return nil, e.complete(dg, pending)
 	default:
 		// New connection: client hello.
-		return e.hello(dg)
+		return nil, e.hello(dg)
 	}
 }
 
@@ -737,7 +761,10 @@ func (e *Exporter) openRequest(ss *sessState, dg netsim.Datagram, j *job) (bool,
 		if !securechan.HelloShaped(dg.Payload) {
 			return false, fmt.Errorf("distributed: undecryptable record from %s: %w", dg.From, err)
 		}
-		if herr := e.hello(dg); herr != nil {
+		e.hsMu.Lock()
+		herr := e.hello(dg)
+		e.hsMu.Unlock()
+		if herr != nil {
 			return false, fmt.Errorf("distributed: session reset from %s failed: %v (record open: %w)", dg.From, herr, err)
 		}
 		return false, nil
@@ -833,6 +860,7 @@ func (e *Exporter) reply(ss *sessState, to string, corr uint64, msg core.Message
 }
 
 // complete finishes a pending handshake with the client's finish flight.
+// The caller holds hsMu.
 func (e *Exporter) complete(dg netsim.Datagram, pending *pendState) error {
 	s, err := pending.p.Complete(dg.Payload)
 	if err != nil {
@@ -860,7 +888,7 @@ func (e *Exporter) complete(dg netsim.Datagram, pending *pendState) error {
 
 // hello treats the datagram as a client hello: on success the peer's old
 // session and pending handshake (if any) are discarded and a new pending
-// handshake replaces them.
+// handshake replaces them. The caller holds hsMu.
 func (e *Exporter) hello(dg netsim.Datagram) error {
 	cur := e.epoch.Load()
 	server, err := securechan.NewServer(securechan.ServerConfig{

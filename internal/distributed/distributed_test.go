@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -783,5 +784,100 @@ func TestExporterEpochGateAndEviction(t *testing.T) {
 	f.exporter.SetEpoch(0)
 	if err := put(ahead, "d=4"); err != nil {
 		t.Fatalf("gate removal evicted a live session: %v", err)
+	}
+}
+
+// holdFirstHellos holds each of the exporter's first two handshake
+// responses on the wire until the other joins it or 100 ms pass, and
+// records whether they were ever on the wire together.
+type holdFirstHellos struct {
+	from    string
+	seen    atomic.Int32
+	active  atomic.Int32
+	joined  sync.Once
+	overlap chan struct{}
+}
+
+func (h *holdFirstHellos) Intercept(d netsim.Datagram) []netsim.Datagram {
+	if d.From != h.from || h.seen.Add(1) > 2 {
+		return []netsim.Datagram{d}
+	}
+	if h.active.Add(1) > 1 {
+		h.joined.Do(func() { close(h.overlap) })
+	}
+	defer h.active.Add(-1)
+	select {
+	case <-h.overlap:
+	case <-time.After(100 * time.Millisecond):
+	}
+	return []netsim.Datagram{d}
+}
+
+// TestConcurrentServePassesSerializeHandshakes pins the exporter's
+// handshake lock. Two stubs share one exporter, and their first pumps run
+// Serve together once both hellos are queued, so each pass takes one
+// hello; neither stub reads its response before both passes are done. The
+// first pass's response is held on the wire until the second pass answers
+// too or 100 ms pass: a second hello answered meanwhile drew from the
+// exporter's handshake randomness at the same time as the first, which is
+// caught on every run. Run with -race: the PRNG is unsynchronized.
+func TestConcurrentServePassesSerializeHandshakes(t *testing.T) {
+	hold := &holdFirstHellos{from: "cloud", overlap: make(chan struct{})}
+	f := newFixture(t, hold, false)
+	var queued, served sync.WaitGroup
+	queued.Add(2)
+	served.Add(2)
+	dial := func(client string) *Stub {
+		t.Helper()
+		var primed atomic.Bool
+		s, err := NewStub(StubConfig{
+			RemoteName:     "store",
+			RemoteEndpoint: "cloud",
+			Endpoint:       f.net.Attach(client),
+			Rand:           cryptoutil.NewPRNG(client + "-hs"),
+			VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
+				q, err := core.DecodeQuote(evidence)
+				if err != nil {
+					return err
+				}
+				return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
+			},
+			Pump: func() error {
+				if !primed.Swap(true) {
+					queued.Done()
+					queued.Wait()
+					defer func() {
+						served.Done()
+						served.Wait()
+					}()
+				}
+				return f.exporter.Serve()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stubs := []*Stub{dial("laptop-a"), dial("laptop-b")}
+	errs := make(chan error, len(stubs))
+	for _, s := range stubs {
+		go func(s *Stub) { errs <- s.Connect() }(s)
+	}
+	for range stubs {
+		if err := <-errs; err != nil {
+			t.Fatalf("Connect: %v", err)
+		}
+	}
+	select {
+	case <-hold.overlap:
+		t.Fatal("two Serve passes answered hellos at the same time")
+	default:
+	}
+	for i, s := range stubs {
+		kv := fmt.Sprintf("k%d=v", i)
+		if _, err := s.Handle(core.Envelope{Msg: core.Message{Op: "put", Data: []byte(kv)}}); err != nil {
+			t.Fatalf("put on session %d: %v", i, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"lateral/internal/simtest"
@@ -10,13 +9,14 @@ import (
 // E21Simulation reproduces the paper's trustworthiness argument as a
 // falsification engine: instead of measuring one scripted scenario, it
 // explores randomly generated operation sequences against a fleet of
-// attested replicas under every fault kind the wire adversary can mount
-// (crash, one-way partition, congestion, tampering, clock skew,
-// duplication), and checks four invariants after every step — handler
-// serialization, deadline-budget monotonicity, quarantine absorption, and
-// telemetry conservation. The whole stack runs on a virtual clock, so a
-// seed is a complete, replayable universe: the experiment re-runs one seed
-// and asserts the event traces are byte-identical.
+// attested replicas under every fault verb the simulation can mount — the
+// wire adversary's crash, one-way partition, congestion, tampering, clock
+// skew and duplication, plus journal tampering, membership and shard
+// transitions, and coalesced sub-frame faults — drawn per seed by
+// simtest.SoakSchedule, and checks all ten simtest invariants after every
+// step. The whole stack runs on a virtual clock, so a seed is a complete,
+// replayable universe: the experiment re-runs one seed and asserts the
+// event traces are byte-identical.
 func E21Simulation() (Table, error) {
 	t := Table{
 		ID:     "E21",
@@ -38,12 +38,11 @@ func E21Simulation() (Table, error) {
 	}
 	t.AddRow("random ops, no faults", seeds, totalOps, 0, totalViol, passFail(totalViol == 0))
 
-	// Round 2: the mixed-fault schedule — every fault kind composed over
+	// Round 2: each seed's soak schedule — every fault verb composed over
 	// the same seeds. All invariants must still hold.
-	sched := simtest.DefaultSchedule(3)
 	totalOps, totalViol, totalFaults := 0, 0, 0
 	for s := 1; s <= seeds; s++ {
-		res, err := simtest.Explore(simtest.ExploreConfig{Seed: uint64(s), Ops: ops, Replicas: 3, Schedule: sched})
+		res, err := simtest.Explore(simtest.ExploreConfig{Seed: uint64(s), Ops: ops, Replicas: 3, Schedule: simtest.SoakSchedule(uint64(s), 3)})
 		if err != nil {
 			return t, err
 		}
@@ -56,7 +55,7 @@ func E21Simulation() (Table, error) {
 	// Round 3: seed replay. The same seed and schedule must reproduce a
 	// byte-identical event trace — the property that makes every failure
 	// in rounds 1 and 2 debuggable.
-	cfg := simtest.ExploreConfig{Seed: 42, Ops: ops, Replicas: 3, Schedule: sched}
+	cfg := simtest.ExploreConfig{Seed: 42, Ops: ops, Replicas: 3, Schedule: simtest.SoakSchedule(42, 3)}
 	a, err := simtest.Explore(cfg)
 	if err != nil {
 		return t, err
@@ -88,8 +87,8 @@ func E21Simulation() (Table, error) {
 		passFail(!res.Failed()))
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("invariants checked after every step: %d per run", 5),
-		"replay any failure with: go test ./internal/simtest/ -run TestExploreSeeds -simtest.seed=<seed>",
+		"invariants checked after every step: all ten, every run",
+		"replay a soak seed with: go test ./internal/simtest -run TestSoak -simtest.seed=<seed> -v",
 	)
 	return t, nil
 }

@@ -44,11 +44,9 @@ type simTimer struct {
 	fired bool
 }
 
-// NewClock builds a virtual clock at Epoch, offset by skew. Schedules use
-// a nonzero skew to model machines whose clocks disagree; most harnesses
-// pass 0.
-func NewClock(skew time.Duration) *Clock {
-	return &Clock{now: Epoch.Add(skew)}
+// NewClock builds a virtual clock at Epoch. A run skews it with FaultSkew.
+func NewClock() *Clock {
+	return &Clock{now: Epoch}
 }
 
 // Now returns the current virtual instant.

@@ -41,12 +41,6 @@ type ExploreConfig struct {
 	// Buggy builds the harness with the deliberate serialization
 	// mutation, for the smoke test that proves checkers catch it.
 	Buggy bool
-
-	// Sharded routes the operation mix through the harness's shard
-	// router — single readings and batch frames against tenant/meter
-	// keys — so the shard-placement invariant sees live traffic across
-	// shard-split/shard-merge rebalances.
-	Sharded bool
 }
 
 // Result is one run's outcome: the byte-exact event trace and every
@@ -101,46 +95,31 @@ func Explore(cfg ExploreConfig) (*Result, error) {
 		}
 	}
 
+	apply := func(f Fault) {
+		verdict := "ok"
+		if !h.Apply(f) {
+			verdict = "no-op"
+		}
+		trace("fault %s target=%q peer=%q dur=%s n=%d -> %s", f.Kind, f.Target, f.Peer, f.Dur, f.N, verdict)
+		res.Faults++
+	}
+
 	trace("start seed=%d replicas=%d ops=%d faults=%d", cfg.Seed, cfg.Replicas, cfg.Ops, len(sched))
 	nextFault := 0
 	for i := 0; i < cfg.Ops; i++ {
 		// Apply every scheduled fault whose time has come.
 		for nextFault < len(sched) && sched[nextFault].At <= h.Clock.Elapsed() {
-			f := sched[nextFault].Fault
-			trace("fault %s target=%q peer=%q dur=%s n=%d", f.Kind, f.Target, f.Peer, f.Dur, f.N)
-			h.Apply(f)
-			res.Faults++
+			apply(sched[nextFault].Fault)
 			nextFault++
 		}
 
+		// One operation mix: direct calls through the pool, and tenant/meter
+		// readings through the shard router, single and batched.
 		id := fmt.Sprintf("op-%04d", i)
 		key := fmt.Sprintf("key-%02d", r.intn(16))
-		if cfg.Sharded {
-			// Sharded mix: tenant/meter-keyed readings through the router.
-			tenant := fmt.Sprintf("tenant-%d", r.intn(4))
-			key = fmt.Sprintf("%s/meter-%02d", tenant, r.intn(16))
-			switch r.intn(12) {
-			case 0, 1: // batch frame: many readings, one sealed datagram
-				n := 2 + r.intn(7)
-				budget := time.Duration(5+r.intn(20)) * time.Millisecond
-				err := h.CallShardBatch(id, tenant, key, n, budget)
-				trace("step=%d shard-batch key=%s n=%d budget=%s -> %s", i, key, n, budget, outcome(err))
-			case 2: // unbounded reading
-				err := h.CallShardWork(id, tenant, key, 0)
-				trace("step=%d shard-call key=%s budget=none -> %s", i, key, outcome(err))
-			case 3: // idle time: health intervals and delayer holds elapse
-				d := time.Duration(1+r.intn(20)) * time.Millisecond
-				h.Clock.Advance(d)
-				trace("step=%d advance %s", i, d)
-			default: // budgeted reading, the common case
-				budget := time.Duration(1+r.intn(20)) * time.Millisecond
-				err := h.CallShardWork(id, tenant, key, budget)
-				trace("step=%d shard-call key=%s budget=%s -> %s", i, key, budget, outcome(err))
-			}
-			check(fmt.Sprintf("step %d", i))
-			continue
-		}
-		switch r.intn(12) {
+		tenant := fmt.Sprintf("tenant-%d", r.intn(4))
+		meter := fmt.Sprintf("%s/meter-%02d", tenant, r.intn(16))
+		switch r.intn(16) {
 		case 0, 1: // wedged handler under budget: watchdog must contain it
 			budget := time.Duration(1+r.intn(10)) * time.Millisecond
 			err := h.CallStall(id, key, budget)
@@ -148,13 +127,22 @@ func Explore(cfg ExploreConfig) (*Result, error) {
 		case 2: // unbounded call: the pre-backpressure fast path
 			err := h.CallWork(id, key, 0)
 			trace("step=%d call key=%s budget=none -> %s", i, key, outcome(err))
-		case 10, 11: // mosaic attack: tainted egress, the policy must deny
-			err := h.CallExfil(id, key)
-			trace("step=%d exfil key=%s -> %s", i, key, outcome(err))
 		case 3: // idle time: health intervals and delayer holds elapse
 			d := time.Duration(1+r.intn(20)) * time.Millisecond
 			h.Clock.Advance(d)
 			trace("step=%d advance %s", i, d)
+		case 4, 5: // mosaic attack: tainted egress, the policy must deny
+			err := h.CallExfil(id, key)
+			trace("step=%d exfil key=%s -> %s", i, key, outcome(err))
+		case 6, 7: // batch frame: many readings, one sealed datagram
+			n := 2 + r.intn(7)
+			budget := time.Duration(5+r.intn(20)) * time.Millisecond
+			err := h.CallShardBatch(id, tenant, meter, n, budget)
+			trace("step=%d shard-batch key=%s n=%d budget=%s -> %s", i, meter, n, budget, outcome(err))
+		case 8, 9, 10: // one reading through the shard router
+			budget := time.Duration(1+r.intn(20)) * time.Millisecond
+			err := h.CallShardWork(id, tenant, meter, budget)
+			trace("step=%d shard-call key=%s budget=%s -> %s", i, meter, budget, outcome(err))
 		default: // budgeted call, the common case
 			budget := time.Duration(1+r.intn(20)) * time.Millisecond
 			err := h.CallWork(id, key, budget)
@@ -162,17 +150,12 @@ func Explore(cfg ExploreConfig) (*Result, error) {
 		}
 		check(fmt.Sprintf("step %d", i))
 	}
-	// Fire any faults scheduled past the last op, then quiesce and do the
-	// final sweep so late schedule entries are still covered.
-	for nextFault < len(sched) {
-		f := sched[nextFault].Fault
-		trace("fault %s target=%q peer=%q dur=%s n=%d", f.Kind, f.Target, f.Peer, f.Dur, f.N)
-		h.Apply(f)
-		res.Faults++
-		nextFault++
+	// Fire any faults scheduled past the last op, then do the final sweep
+	// so late schedule entries are still covered.
+	for ; nextFault < len(sched); nextFault++ {
+		apply(sched[nextFault].Fault)
 	}
-	h.Quiesce()
-	check("quiesce")
+	check("end")
 	trace("end healthy=%d quarantined=%d", h.Pool.Healthy(), h.Pool.Quarantined())
 	return res, nil
 }
@@ -196,81 +179,63 @@ func outcome(err error) string {
 	}
 }
 
-// DefaultSchedule returns the mixed-fault script the soak and experiment
-// runs use when the caller does not bring one: a crash with heal, a
-// one-way partition with heal, congestion, tampering (which quarantines),
-// clock skew, and duplication — every fault kind, composed.
-func DefaultSchedule(replicas int) []Schedule {
+// SoakSchedule draws seed's soak schedule for a fleet that starts with
+// replicas replicas: all thirteen fault verbs at seeded times and targets,
+// threaded so that each verb's consequence lands inside the run. Before a
+// clock skew at 40–50 ms come duplication, a crash, a one-way partition
+// and a delayer (each undone again), a coalesce fault, a join, a leave,
+// and a shard split and merge, each repeated once for the router to
+// refuse. From 300 ms one replica is tampered with and healed twice — the
+// first round marks it down, the second re-attests it and quarantines it —
+// then its leave must be refused and a journal tamper detected. The stream
+// is independent of the explorer's operation stream for the same seed.
+func SoakSchedule(seed uint64, replicas int) []Schedule {
 	if replicas < 2 {
 		replicas = 2
 	}
-	r1, r2 := ReplicaName(1), ReplicaName(2)
-	return []Schedule{
-		{At: 2 * time.Millisecond, Fault: Fault{Kind: FaultDup, Target: r1, N: 2}},
-		{At: 5 * time.Millisecond, Fault: Fault{Kind: FaultCrash, Target: r2}},
-		{At: 12 * time.Millisecond, Fault: Fault{Kind: FaultHeal, Target: r2}},
-		{At: 18 * time.Millisecond, Fault: Fault{Kind: FaultDelay, Seed: 7, Pct: 25, Dur: 3 * time.Millisecond, N: 1}},
-		{At: 30 * time.Millisecond, Fault: Fault{Kind: FaultDelay, N: 0}},
-		{At: 34 * time.Millisecond, Fault: Fault{Kind: FaultSkew, Dur: 250 * time.Millisecond}},
-		{At: 300 * time.Millisecond, Fault: Fault{Kind: FaultTamper, Target: r1}},
-		{At: 320 * time.Millisecond, Fault: Fault{Kind: FaultHeal, Target: r1}},
-		{At: 330 * time.Millisecond, Fault: Fault{Kind: FaultTamper}},
-		{At: 340 * time.Millisecond, Fault: Fault{Kind: FaultJournalTamper, N: 3}},
-	}
-}
+	r := &rng{state: ^seed}
+	ms := func(lo, hi int) time.Duration { return time.Duration(lo+r.intn(hi-lo+1)) * time.Millisecond }
+	replica := func() string { return ReplicaName(1 + r.intn(replicas)) }
+	// The victim is quarantined, so it must not be the one that leaves
+	// first, nor one whose duplicated traffic may still be armed when its
+	// tampered handshake runs (a duplicate fails the handshake before the
+	// evidence is checked).
+	victim := 1 + r.intn(replicas)
+	other := func() string { return ReplicaName(1 + (victim+r.intn(replicas-1))%replicas) }
 
-// ShardSchedule returns the sharded-fabric script the shard soak runs:
-// splits growing the fabric and merges shrinking it, threaded through
-// crashes, duplication, congestion, and clock skew — every reading in
-// flight across each rebalance is audited by the shard-placement
-// invariant (routed where the current map says, never double-counted).
-func ShardSchedule(replicas int) []Schedule {
-	if replicas < 2 {
-		replicas = 2
+	var sched []Schedule
+	at := func(t time.Duration, f Fault) time.Duration {
+		sched = append(sched, Schedule{At: t, Fault: f})
+		return t
 	}
-	r1, r2 := ReplicaName(1), ReplicaName(2)
-	return []Schedule{
-		{At: 2 * time.Millisecond, Fault: Fault{Kind: FaultDup, Target: r1, N: 2}},
-		{At: 6 * time.Millisecond, Fault: Fault{Kind: FaultShardSplit, Target: CellName(3)}},
-		{At: 10 * time.Millisecond, Fault: Fault{Kind: FaultCrash, Target: r2}},
-		{At: 16 * time.Millisecond, Fault: Fault{Kind: FaultHeal, Target: r2}},
-		{At: 22 * time.Millisecond, Fault: Fault{Kind: FaultShardMerge, Target: CellName(1)}},
-		{At: 26 * time.Millisecond, Fault: Fault{Kind: FaultDelay, Seed: 13, Pct: 25, Dur: 3 * time.Millisecond, N: 1}},
-		{At: 38 * time.Millisecond, Fault: Fault{Kind: FaultDelay, N: 0}},
-		{At: 42 * time.Millisecond, Fault: Fault{Kind: FaultSkew, Dur: 250 * time.Millisecond}},
-		{At: 60 * time.Millisecond, Fault: Fault{Kind: FaultShardSplit, Target: CellName(4)}},
-		// Refused transitions must be no-ops on both the router and the
-		// checker's shadow: a duplicate split and a merge of an unmapped cell.
-		{At: 70 * time.Millisecond, Fault: Fault{Kind: FaultShardSplit, Target: CellName(3)}},
-		{At: 80 * time.Millisecond, Fault: Fault{Kind: FaultShardMerge, Target: CellName(1)}},
-		{At: 300 * time.Millisecond, Fault: Fault{Kind: FaultShardMerge, Target: CellName(2)}},
-	}
-}
+	at(ms(0, 30), Fault{Kind: FaultDup, Target: other(), N: 1 + r.intn(3)})
+	crashed := replica()
+	t := at(ms(2, 30), Fault{Kind: FaultCrash, Target: crashed})
+	at(t+ms(2, 8), Fault{Kind: FaultHeal, Target: crashed})
+	cut := replica()
+	ends, flip := [2]string{"lb-" + cut, cut}, r.intn(2) // requests or replies lost
+	t = at(ms(2, 30), Fault{Kind: FaultPartition, Target: ends[flip], Peer: ends[1-flip]})
+	at(t+ms(2, 8), Fault{Kind: FaultHeal, Target: cut})
+	t = at(ms(2, 25), Fault{Kind: FaultDelay, Seed: r.next(), Pct: 10 + r.intn(31), Dur: ms(1, 4), N: 1})
+	at(t+ms(5, 15), Fault{Kind: FaultDelay, N: 0})
+	mode := [2]string{"drop", "tamper"}[r.intn(2)]
+	at(ms(2, 38), Fault{Kind: FaultCoalesce, Target: replica(), Peer: mode, N: r.intn(4)})
+	at(ms(2, 38), Fault{Kind: FaultJoin, Target: ReplicaName(replicas + 1)})
+	at(ms(2, 38), Fault{Kind: FaultLeave, Target: other()})
+	t = at(ms(2, 20), Fault{Kind: FaultShardSplit, Target: CellName(3)})
+	t = at(t+ms(1, 5), Fault{Kind: FaultShardSplit, Target: CellName(3)})
+	merged := CellName(1 + r.intn(3))
+	t = at(t+ms(1, 8), Fault{Kind: FaultShardMerge, Target: merged})
+	at(t+ms(1, 5), Fault{Kind: FaultShardMerge, Target: merged})
+	at(ms(40, 50), Fault{Kind: FaultSkew, Dur: 250 * time.Millisecond})
 
-// EpochSchedule returns the dynamic-membership script the epoch soak
-// runs: a rolling replace (join a fresh member, drain an original out)
-// threaded through crashes, duplication, congestion, and clock skew, then
-// a tamper-quarantine followed by a leave the pool must refuse — the
-// quarantine record is fleet memory, and the epoch-membership invariant
-// watches every step for calls reaching evicted or stale-keyed members.
-func EpochSchedule(replicas int) []Schedule {
-	if replicas < 2 {
-		replicas = 2
-	}
-	r1, r2 := ReplicaName(1), ReplicaName(2)
-	joiner := ReplicaName(replicas + 1)
-	return []Schedule{
-		{At: 2 * time.Millisecond, Fault: Fault{Kind: FaultDup, Target: r1, N: 2}},
-		{At: 6 * time.Millisecond, Fault: Fault{Kind: FaultJoin, Target: joiner}},
-		{At: 10 * time.Millisecond, Fault: Fault{Kind: FaultCrash, Target: r2}},
-		{At: 16 * time.Millisecond, Fault: Fault{Kind: FaultHeal, Target: r2}},
-		{At: 22 * time.Millisecond, Fault: Fault{Kind: FaultLeave, Target: r1}},
-		{At: 26 * time.Millisecond, Fault: Fault{Kind: FaultDelay, Seed: 11, Pct: 25, Dur: 3 * time.Millisecond, N: 1}},
-		{At: 38 * time.Millisecond, Fault: Fault{Kind: FaultDelay, N: 0}},
-		{At: 42 * time.Millisecond, Fault: Fault{Kind: FaultSkew, Dur: 250 * time.Millisecond}},
-		{At: 300 * time.Millisecond, Fault: Fault{Kind: FaultTamper, Target: r2}},
-		{At: 320 * time.Millisecond, Fault: Fault{Kind: FaultHeal, Target: r2}},
-		{At: 330 * time.Millisecond, Fault: Fault{Kind: FaultTamper}},
-		{At: 335 * time.Millisecond, Fault: Fault{Kind: FaultLeave, Target: r2}},
-	}
+	tampered := ReplicaName(victim)
+	t = at(ms(300, 305), Fault{Kind: FaultTamper, Target: tampered})
+	t = at(t+ms(1, 5), Fault{Kind: FaultHeal, Target: tampered})
+	t = at(t+ms(1, 5), Fault{Kind: FaultHeal, Target: tampered})
+	t = at(t+ms(1, 5), Fault{Kind: FaultTamper})
+	t = at(t+ms(1, 5), Fault{Kind: FaultLeave, Target: tampered})
+	at(t+ms(1, 5), Fault{Kind: FaultJournalTamper, N: r.intn(9)})
+	SortSchedule(sched)
+	return sched
 }

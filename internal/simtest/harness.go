@@ -99,17 +99,10 @@ type HarnessConfig struct {
 	// deployment.
 	Seed uint64
 
-	// Balancer overrides the pool's balancer (default round-robin).
-	Balancer cluster.Balancer
-
 	// Buggy enables the deliberate serialization mutation in every
 	// replica's service component — the bug the mutation smoke test
 	// proves the checkers catch.
 	Buggy bool
-
-	// Skew offsets the virtual clock's start (FaultSkew arrives through
-	// schedules; this models a deployment born skewed).
-	Skew time.Duration
 
 	// HealthInterval enables the pool's piggybacked health rounds (0 keeps
 	// them off; the explorer heals via FaultHeal's explicit CheckNow). The
@@ -146,7 +139,7 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
-	clk := NewClock(cfg.Skew)
+	clk := NewClock()
 	h := &Harness{
 		Clock:   clk,
 		Net:     netsim.New(),
@@ -193,7 +186,6 @@ func NewHarness(cfg HarnessConfig) (*Harness, error) {
 		VendorKey:      vendor.Public(),
 		Measurement:    cryptoutil.Hash(core.DomainImage(&simSvc{})),
 		JitterSeed:     seedName,
-		Balancer:       cfg.Balancer,
 		Monitor:        &epochTee{Metrics: h.Metrics, ck: h.Epochs},
 		Sleep:          clk.Sleep,
 		Clock:          clk.Now,
@@ -350,23 +342,22 @@ func (t *epochTee) ReplicaCall(fleet, replica string, failed bool) {
 	t.Metrics.ReplicaCall(fleet, replica, failed)
 }
 
-// Checkers returns every invariant checker in a stable order.
-func (h *Harness) Checkers() []Checker {
-	return []Checker{h.Serial, h.Budget, h.Absorb, h.Pipeline, h.Coalesce, h.Conservation, h.Audit, h.Policy, h.Epochs, h.Sharding}
-}
-
-// CheckAll runs every checker and returns the concatenated violations.
+// CheckAll runs every invariant checker, in a stable order, and returns
+// the concatenated violations.
 func (h *Harness) CheckAll() []Violation {
 	var out []Violation
-	for _, c := range h.Checkers() {
+	for _, c := range []Checker{h.Serial, h.Budget, h.Absorb, h.Pipeline, h.Coalesce, h.Conservation, h.Audit, h.Policy, h.Epochs, h.Sharding} {
 		out = append(out, c.Check()...)
 	}
 	return out
 }
 
-// Apply injects one fault. Faults compose: a partition, a delayer, a
+// Apply injects one fault and reports whether it took effect: false when
+// the pool or the shard router refused a transition, a join named an
+// existing machine, a journal tamper missed the journal, or a coalesce
+// fault named no replica. Faults compose: a partition, a delayer, a
 // tamperer, and a duplicator can all be active at once (netsim.Chain).
-func (h *Harness) Apply(f Fault) {
+func (h *Harness) Apply(f Fault) bool {
 	switch f.Kind {
 	case FaultCrash:
 		h.partitioner.Isolate(f.Target)
@@ -399,15 +390,16 @@ func (h *Harness) Apply(f Fault) {
 		// Mutate the black box at rest. The auditor invariant flips to
 		// "replay must fail" only if an entry was actually hit — tampering
 		// an index past the journal's end attacks nothing.
-		if h.Journal.TamperEntry(f.N) {
-			h.Audit.MarkTampered()
+		if !h.Journal.TamperEntry(f.N) {
+			return false
 		}
+		h.Audit.MarkTampered()
 	case FaultJoin:
 		// Names are single-use per run: the netsim endpoint and the serial
 		// guards are keyed by name, so a rejoin (or joining a seed member)
 		// is a scripted no-op rather than a second machine behind one wire.
 		if _, exists := h.sys[f.Target]; exists {
-			return
+			return false
 		}
 		spec, err := h.buildReplica(f.Target)
 		if err != nil {
@@ -421,28 +413,33 @@ func (h *Harness) Apply(f Fault) {
 	case FaultLeave:
 		// The pool refuses unknown and quarantined names; only a committed
 		// leave arms the evicted-replica half of the epoch invariant.
-		if err := h.Pool.Leave(f.Target); err == nil {
-			h.Epochs.MarkEvicted(f.Target)
+		if err := h.Pool.Leave(f.Target); err != nil {
+			return false
 		}
+		h.Epochs.MarkEvicted(f.Target)
 	case FaultShardSplit:
-		// The checker's shadow membership moves only on a committed
-		// transition — a refused join (duplicate name) changes nothing on
-		// either side.
-		if err := h.Router.Join(f.Target, &cellBackend{h: h, name: f.Target}); err == nil {
-			h.Sharding.MarkSplit(f.Target)
-		}
+		// Proposed to the checker before the router commits; a refused
+		// join (duplicate name) changes nothing on either side.
+		h.Sharding.Propose(f.Target, true)
+		err := h.Router.Join(f.Target, &cellBackend{h: h, name: f.Target})
+		h.Sharding.Settle(err == nil)
+		return err == nil
 	case FaultShardMerge:
-		if _, err := h.Router.Leave(f.Target); err == nil {
-			h.Sharding.MarkMerge(f.Target)
-		}
+		h.Sharding.Propose(f.Target, false)
+		_, err := h.Router.Leave(f.Target)
+		h.Sharding.Settle(err == nil)
+		return err == nil
 	case FaultCoalesce:
 		// Arm the one-shot sub-frame fault on the target's exporter (mode
 		// rides in Peer: "drop" or "tamper"); an unknown name attacks
 		// nothing, so schedules stay safe to fuzz.
-		if exp := h.exps[f.Target]; exp != nil {
-			exp.FaultNextCoalesced(f.Peer, f.N)
+		exp := h.exps[f.Target]
+		if exp == nil {
+			return false
 		}
+		exp.FaultNextCoalesced(f.Peer, f.N)
 	}
+	return true
 }
 
 // HealWire lifts every partition cut involving target without forcing a
@@ -489,7 +486,7 @@ func (h *Harness) CallWork(id, key string, budget time.Duration) error {
 }
 
 // CallSlowWork drives one unbounded request whose handler takes real
-// service time (the "slow" op) — the coalesce soak's overlap window.
+// service time (the "slow" op) — the racing soak's overlap window.
 func (h *Harness) CallSlowWork(id, key string) error {
 	h.Led.Start()
 	_, err := h.Pool.Do(key, core.Message{Op: "slow", Data: []byte(id)})
@@ -502,6 +499,7 @@ func (h *Harness) CallSlowWork(id, key string) error {
 // the pool. The placement invariant audits the dispatch.
 func (h *Harness) CallShardWork(id, tenant, key string, budget time.Duration) error {
 	h.Led.Start()
+	h.Sharding.Begin(id)
 	var deadline time.Time
 	if budget > 0 {
 		deadline = h.Clock.Now().Add(budget)
@@ -523,7 +521,9 @@ func (h *Harness) CallShardBatch(id, tenant, key string, n int, budget time.Dura
 	}
 	readings := make([]distributed.Reading, n)
 	for i := range readings {
-		readings[i] = distributed.Reading{Op: "work", Data: []byte(fmt.Sprintf("%s/%d", id, i))}
+		rid := fmt.Sprintf("%s/%d", id, i)
+		h.Sharding.Begin(rid)
+		readings[i] = distributed.Reading{Op: "work", Data: []byte(rid)}
 	}
 	results, err := h.Router.DoBatch(tenant, key, readings, nil, deadline)
 	if err == nil {
@@ -600,14 +600,6 @@ func (h *Harness) CallStall(id, key string, budget time.Duration) error {
 	return err
 }
 
-// Quiesce verifies no operation is in flight (stall ops self-quiesce, so
-// this is a cheap assertion point before checking invariants).
-func (h *Harness) Quiesce() {
-	// All harness operations are synchronous by construction; nothing to
-	// wait for. The method exists so future asynchronous op types have a
-	// single place to drain.
-}
-
 // ---- components ------------------------------------------------------
 
 // simSvc is the front service: it records the budget it runs under,
@@ -652,7 +644,7 @@ func (s *simSvc) serve(env core.Envelope) (core.Message, error) {
 	switch env.Msg.Op {
 	case "work", "slow":
 		if env.Msg.Op == "slow" {
-			// Real — not virtual — service time. The coalesce soak races
+			// Real — not virtual — service time. The racing soak races
 			// concurrent callers against one stub, and coalescing needs a
 			// window during which later arrivals can pile onto the queue
 			// behind the flush leader; the virtual clock never moves here,

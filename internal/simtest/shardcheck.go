@@ -2,7 +2,6 @@ package simtest
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"lateral/internal/shard"
@@ -11,22 +10,29 @@ import (
 // ---- Invariant 9: shard placement is enforced ------------------------
 
 // ShardChecker verifies the sharded-routing contract: every reading lands
-// on the shard the current epoch's shard map assigns its key, and no
-// reading is dispatched twice across a rebalance. Independence comes from
-// recomputation: the checker maintains its own shadow member list —
-// updated only by the fault applications the harness performs — and
-// rebuilds a from-scratch shard.Map on every change, while the live
-// router reconciles its ring incrementally. A router whose incremental
-// reconcile drifts from the pure function of the member set, routes
-// through a stale map, or double-dispatches a reading during a
-// split/merge is caught at the next record. Findings are sticky: a
-// transient breach still fails the run at quiesce.
+// on the shard that a map current during its operation assigns its key,
+// and no reading is dispatched twice across a rebalance. Independence
+// comes from recomputation: the checker keeps its own shadow maps — moved
+// only by the fault applications the harness performs — each rebuilt from
+// scratch from its member set, while the live router reconciles its ring
+// incrementally. A router whose incremental reconcile drifts from the pure
+// function of the member set, routes through a stale map, or
+// double-dispatches a reading during a split/merge is caught at the next
+// record. Findings are sticky: a transient breach still fails the run at
+// quiesce.
+//
+// Each transition is proposed before the router commits it, so the
+// checker never lags the router: a reading is legal under any map from its
+// operation's start (Begin) to its dispatch. In the synchronous explorer
+// that range is exactly the current map.
 type ShardChecker struct {
 	vnodes int
 
 	mu      sync.Mutex
-	members []string
-	scratch *shard.Map
+	maps    []*shard.Map   // every settled map, oldest first
+	scratch *shard.Map     // the current map, the last of maps
+	next    *shard.Map     // the open proposal, nil when none
+	begun   map[string]int // reading id -> index in maps when its operation began
 	counts  map[string]int // reading id -> dispatch count
 	viols   []Violation
 }
@@ -34,39 +40,54 @@ type ShardChecker struct {
 // NewShardChecker builds the checker; vnodes must match the live router's
 // ring density (<= 0 selects the shared default).
 func NewShardChecker(vnodes int) *ShardChecker {
-	return &ShardChecker{vnodes: vnodes, counts: make(map[string]int)}
+	return &ShardChecker{vnodes: vnodes, begun: make(map[string]int), counts: make(map[string]int)}
 }
 
-// MarkSplit records that a shard cell joined the fabric (the harness
-// calls this only after the router committed the join).
-func (c *ShardChecker) MarkSplit(cell string) {
+// Propose opens a proposal: the current map with cell joined (split) or
+// removed. Transitions are applied one at a time, so at most one proposal
+// is open; Settle closes it.
+func (c *ShardChecker) Propose(cell string, split bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.members = append(c.members, cell)
-	c.rebuild()
-}
-
-// MarkMerge records that a shard cell left the fabric.
-func (c *ShardChecker) MarkMerge(cell string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.members[:0]
-	for _, m := range c.members {
-		if m != cell {
-			kept = append(kept, m)
+	var members []string
+	if c.scratch != nil {
+		for _, m := range c.scratch.Members() {
+			if m != cell {
+				members = append(members, m)
+			}
 		}
 	}
-	c.members = kept
-	c.rebuild()
+	if split {
+		members = append(members, cell)
+	}
+	c.next = shard.NewMap(c.vnodes, members...)
 }
 
-// rebuild recomputes the shadow map from scratch (caller holds mu). Sort
-// first: shard.Map is order-independent by contract, sorting here keeps
-// the shadow's own build history out of the equation entirely.
-func (c *ShardChecker) rebuild() {
-	members := append([]string(nil), c.members...)
-	sort.Strings(members)
-	c.scratch = shard.NewMap(c.vnodes, members...)
+// Settle closes the open proposal: a committed transition makes it the
+// current map, a refused one drops it.
+func (c *ShardChecker) Settle(committed bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if committed {
+		c.scratch = c.next
+		c.maps = append(c.maps, c.next)
+	}
+	c.next = nil
+}
+
+// MarkSplit records a shard cell join the router has already committed.
+func (c *ShardChecker) MarkSplit(cell string) {
+	c.Propose(cell, true)
+	c.Settle(true)
+}
+
+// Begin notes that the operation carrying reading id starts now; its
+// dispatch is judged against every map from here on. A reading dispatched
+// without Begin is judged against the current map alone.
+func (c *ShardChecker) Begin(id string) {
+	c.mu.Lock()
+	c.begun[id] = len(c.maps) - 1
+	c.mu.Unlock()
 }
 
 // RecordDispatch notes one reading arriving at a shard cell's backend.
@@ -88,11 +109,19 @@ func (c *ShardChecker) RecordDispatch(id, key, cell string) {
 		})
 		return
 	}
-	if want := c.scratch.Owner(key); cell != want {
+	first, ok := c.begun[id]
+	if !ok {
+		first = len(c.maps) - 1
+	}
+	legal := c.next != nil && c.next.Owner(key) == cell
+	for _, m := range c.maps[max(first, 0):] {
+		legal = legal || m.Owner(key) == cell
+	}
+	if !legal {
 		c.viols = append(c.viols, Violation{
 			Invariant: c.Name(),
 			Detail: fmt.Sprintf("reading %s (key %s) routed to %s, current shard map assigns %s",
-				id, key, cell, want),
+				id, key, cell, c.scratch.Owner(key)),
 		})
 	}
 }

@@ -10,15 +10,15 @@ import (
 )
 
 var (
-	seedFlag = flag.Uint64("simtest.seed", 0, "replay one explorer seed verbosely and exit")
-	soakFlag = flag.Int("simtest.soak", 0, "explore this many extra seeds (sim-soak target)")
+	seedFlag = flag.Uint64("simtest.seed", 0, "replay the replayable half of one TestSoak seed verbosely")
+	soakFlag = flag.Int("simtest.soak", 0, "run TestSoak over this many seeds")
 )
 
 // TestClockTimers pins the virtual clock's contract: timers fire in
 // deadline order, the clock reads each timer's own deadline when it
 // fires, stop disarms, and non-positive delays fire immediately.
 func TestClockTimers(t *testing.T) {
-	clk := NewClock(0)
+	clk := NewClock()
 	c1, _ := clk.After(10 * time.Millisecond)
 	c2, _ := clk.After(5 * time.Millisecond)
 	c3, stop := clk.After(7 * time.Millisecond)
@@ -62,12 +62,7 @@ func TestClockTimers(t *testing.T) {
 // TestScheduleRoundtrip pins the codec: encode → decode → encode is the
 // identity for every fault kind.
 func TestScheduleRoundtrip(t *testing.T) {
-	sched := DefaultSchedule(3)
-	sched = append(sched, EpochSchedule(3)...)
-	sched = append(sched,
-		Schedule{At: 0, Fault: Fault{Kind: FaultPartition, Target: "lb-svc-1", Peer: "svc-1"}},
-		Schedule{At: time.Second, Fault: Fault{Kind: FaultHeal}},
-	)
+	sched := append(SoakSchedule(7, 3), Schedule{At: time.Second, Fault: Fault{Kind: FaultHeal}})
 	if err := Validate(sched); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -107,7 +102,7 @@ func TestScheduleDecodeRejects(t *testing.T) {
 
 // TestHarnessBasics drives the harness directly: a budgeted call
 // completes, a wedged handler is abandoned at its deadline with the slot
-// preserved, and all four invariants hold.
+// preserved, and every invariant holds.
 func TestHarnessBasics(t *testing.T) {
 	h, err := NewHarness(HarnessConfig{Replicas: 3, Seed: 1})
 	if err != nil {
@@ -137,10 +132,10 @@ func TestHarnessBasics(t *testing.T) {
 }
 
 // TestExploreReplayIsByteIdentical is the determinism acceptance
-// criterion: the same seed and schedule reproduce a byte-identical event
-// trace across two independent runs.
+// criterion: a TestSoak seed's replayable half reproduces a byte-identical
+// event trace across two independent runs.
 func TestExploreReplayIsByteIdentical(t *testing.T) {
-	cfg := ExploreConfig{Seed: 42, Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)}
+	cfg := soakConfig(42)
 	a, err := Explore(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,41 +150,6 @@ func TestExploreReplayIsByteIdentical(t *testing.T) {
 	if a.TraceBytes() != b.TraceBytes() {
 		t.Fatalf("trace not byte-identical across runs:\n--- run 1\n%s--- run 2\n%s",
 			a.TraceBytes(), b.TraceBytes())
-	}
-}
-
-// TestExploreSeeds sweeps a batch of random seeds (more under
-// -simtest.soak) over the mixed-fault schedule; every invariant must hold
-// on every seed. With -simtest.seed=N only that seed runs and its full
-// trace is printed — the replay workflow for a failure someone found in
-// soak or CI.
-func TestExploreSeeds(t *testing.T) {
-	if *seedFlag != 0 {
-		res, err := Explore(ExploreConfig{Seed: *seedFlag, Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("replay of seed %d:\n%s", *seedFlag, res.TraceBytes())
-		if res.Failed() {
-			t.Fatalf("seed %d: %d invariant violations", *seedFlag, len(res.Violations))
-		}
-		return
-	}
-	seeds := 12
-	if *soakFlag > 0 {
-		seeds = *soakFlag
-	} else if testing.Short() {
-		seeds = 4
-	}
-	for seed := 1; seed <= seeds; seed++ {
-		res, err := Explore(ExploreConfig{Seed: uint64(seed), Ops: 30, Replicas: 3, Schedule: DefaultSchedule(3)})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Failed() {
-			t.Fatalf("seed %d violated invariants (replay with -simtest.seed=%d):\n%s",
-				seed, seed, res.TraceBytes())
-		}
 	}
 }
 
@@ -220,27 +180,35 @@ func TestMutationIsCaught(t *testing.T) {
 	t.Logf("mutation caught at seed %d", caught)
 }
 
-// TestMinimizeShrinksFailingSchedule pins the minimizer: a failing config
-// padded with irrelevant faults shrinks to a smaller config that still
-// fails the same invariant.
+// TestMinimizeShrinksFailingSchedule pins the minimizer: the first seed
+// whose soak schedule fails under the serialization mutation shrinks to a
+// config with fewer faults that still fails the same invariant — the
+// schedule's faults are irrelevant to that bug.
 func TestMinimizeShrinksFailingSchedule(t *testing.T) {
-	cfg := ExploreConfig{Seed: 3, Ops: 16, Replicas: 2, Buggy: true, Schedule: DefaultSchedule(2)}
-	res, err := Explore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Failed() {
-		t.Skip("seed 3 does not fail with this schedule; mutation test covers detection")
+	var cfg ExploreConfig
+	for seed := uint64(1); ; seed++ {
+		if seed > 20 {
+			t.Fatal("no seed in 1..20 fails under the serialization mutation")
+		}
+		cfg = ExploreConfig{Seed: seed, Ops: 16, Replicas: 2, Buggy: true, Schedule: SoakSchedule(seed, 2)}
+		res, err := Explore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() {
+			break
+		}
 	}
 	min, minRes, err := Minimize(cfg)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
-	if !minRes.Failed() {
-		t.Fatal("minimized config does not fail")
+	if !minRes.Failed() || minRes.Violations[0].Invariant != "handler-serialization" {
+		t.Fatalf("minimized config fails with %v, want handler-serialization", minRes.Violations)
 	}
-	if len(min.Schedule) > len(cfg.Schedule) || min.Ops > cfg.Ops {
-		t.Fatalf("minimize grew the config: %d faults / %d ops", len(min.Schedule), min.Ops)
+	if len(min.Schedule) >= len(cfg.Schedule) || min.Ops > cfg.Ops {
+		t.Fatalf("minimize did not shrink the config: %d→%d faults, %d→%d ops",
+			len(cfg.Schedule), len(min.Schedule), cfg.Ops, min.Ops)
 	}
 	t.Logf("minimized: %d→%d faults, %d→%d ops", len(cfg.Schedule), len(min.Schedule), cfg.Ops, min.Ops)
 }
