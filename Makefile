@@ -61,12 +61,13 @@ bench:
 
 # One iteration of every benchmark: catches bench rot (compile errors,
 # panics, a broken fixture) in CI without paying full measurement time.
-# The zero-alloc gates ride along: the batched-ingest hot path must stay
-# at 0 allocs/op per reading and the coalesced sealed-record hot path at
-# 0 allocs/op per sub-frame at depth 16 — asserted, not just measured.
+# The allocation gates ride along: the batched-ingest hot path must stay
+# at 0 allocs/op per reading, the coalesced sealed-record hot path at
+# 0 allocs/op per sub-frame at depth 16, and a budgeted hop through core
+# at 1 allocation per call — asserted, not just measured.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
-	$(GO) test -count=1 -run 'TestBatchIngestZeroAllocPerReading|TestCoalescedZeroAllocPerSubFrame' ./internal/distributed
+	$(GO) test -count=1 -run 'TestBatchIngestZeroAllocPerReading|TestCoalescedZeroAllocPerSubFrame|TestGuardedDeliverAllocs' ./internal/distributed ./internal/core
 
 # The repository benchmark (bench/, run by bench/run.sh) is its own Go
 # module, so the root `go build ./...` never compiles it: vet and test it

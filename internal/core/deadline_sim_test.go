@@ -9,7 +9,10 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,6 +86,18 @@ func newSimSystem(t *testing.T) (*core.System, *simtest.Clock) {
 	clk := simtest.NewClock()
 	sys.SetClock(clk)
 	return sys, clk
+}
+
+// waitQueued blocks until the system's deadline queue holds n calls, then
+// until the clock has a timer armed: one timer covers every queued call.
+func waitQueued(sys *core.System, clk *simtest.Clock, n int) {
+	for {
+		if calls, _ := sys.DeadlineQueue(); calls >= n {
+			break
+		}
+		runtime.Gosched()
+	}
+	clk.WaitTimers(1)
 }
 
 // TestWatchdogAbandonsHungHandlerSim: the watchdog abandons a wedged
@@ -166,7 +181,7 @@ func TestWatchdogSkipsCallQueuedPastDeadlineSim(t *testing.T) {
 	go call("wedged")
 	<-g.entered // the first handler holds the slot
 	go call("queued")
-	clk.WaitTimers(2) // both watchdogs armed
+	waitQueued(sys, clk, 2) // both calls queued, one timer armed
 	clk.Advance(21 * time.Millisecond)
 	for i := 0; i < 2; i++ {
 		if err := <-errs; !errors.Is(err, core.ErrDeadline) {
@@ -331,4 +346,220 @@ func TestWatchdogExpiryAtExactBoundary(t *testing.T) {
 		t.Fatalf("deliver at exact deadline: got %v, want ErrDeadline", err)
 	}
 	close(g.gate)
+}
+
+// simEcho replies at once: the calls that finish in time.
+type simEcho struct{ name string }
+
+func (e *simEcho) CompName() string     { return e.name }
+func (e *simEcho) CompVersion() string  { return "1.0" }
+func (e *simEcho) Init(*core.Ctx) error { return nil }
+func (e *simEcho) Handle(env core.Envelope) (core.Message, error) {
+	return core.Message{Op: "echo", Data: env.Msg.Data}, nil
+}
+
+// serveGoroutines counts the goroutines serving a deadline queue.
+func serveGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*deadlineQueue).serve(")
+}
+
+// TestWatchdogQueueUnderConcurrency drives one System's deadline queue from
+// many goroutines at once on the virtual clock: calls that expire behind
+// wedged handlers, calls whose context is canceled, and calls that finish
+// in time with deadlines earlier than the armed one, so push re-arms the
+// timer. Every caller gets exactly one verdict of the right kind, no call
+// abandoned before it started ever runs, the queue drains, and its
+// goroutine exits once the clock passes the instant last armed.
+func TestWatchdogQueueUnderConcurrency(t *testing.T) {
+	const (
+		slowComps    = 3
+		callsPerSlow = 3
+		cancels      = 3
+		echoLoops    = 4
+		echoCalls    = 50
+	)
+	serveBefore := serveGoroutines()
+	sys, clk := newSimSystem(t)
+	slow := make([]*simGate, slowComps)
+	for i := range slow {
+		slow[i] = &simGate{name: fmt.Sprintf("slow-%d", i), gate: make(chan struct{}), entered: make(chan struct{}, callsPerSlow)}
+		if err := sys.Launch(slow[i], false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := &simGate{name: "held", gate: make(chan struct{}), entered: make(chan struct{}, cancels)}
+	if err := sys.Launch(held, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < echoLoops; i++ {
+		if err := sys.Launch(&simEcho{name: fmt.Sprintf("echo-%d", i)}, false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A call that returns at once leaves the timer armed an hour out on an
+	// empty heap.
+	if _, err := sys.DeliverDeadline("echo-0", core.Message{Op: "x"}, core.Span{}, clk.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if calls, armed := sys.DeadlineQueue(); calls != 0 || !armed.Equal(simtest.Epoch.Add(time.Hour)) {
+		t.Fatalf("after one call: %d queued, armed at %v; want 0, epoch+1h", calls, armed)
+	}
+
+	var wg sync.WaitGroup
+	expired := make(chan error, slowComps*callsPerSlow)
+	for i := 0; i < slowComps*callsPerSlow; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			deadline := clk.Now().Add(time.Duration(10+i) * time.Millisecond)
+			_, err := sys.DeliverDeadline(slow[i%slowComps].name, core.Message{Op: "x"}, core.Span{}, deadline)
+			expired <- err
+		}(i)
+	}
+	canceled := make(chan error, cancels)
+	cancelFns := make([]context.CancelFunc, cancels)
+	for i := range cancelFns {
+		// A context deadline on the virtual clock: the call is both
+		// budgeted (queued) and cancelable.
+		ctx, cancel := context.WithDeadline(context.Background(), clk.Now().Add(time.Duration(40+i)*time.Millisecond))
+		cancelFns[i] = cancel
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := sys.DeliverCtx(ctx, "held", core.Message{Op: "x"})
+			canceled <- err
+		}()
+	}
+	var echoWG sync.WaitGroup
+	budgets := []time.Duration{time.Millisecond, 30 * time.Millisecond, time.Second, time.Hour}
+	for l := 0; l < echoLoops; l++ {
+		echoWG.Add(1)
+		go func(l int) {
+			defer echoWG.Done()
+			for i := 0; i < echoCalls; i++ {
+				deadline := clk.Now().Add(budgets[(i+l)%len(budgets)])
+				if _, err := sys.DeliverDeadline(fmt.Sprintf("echo-%d", (i+l)%echoLoops), core.Message{Op: "x"}, core.Span{}, deadline); err != nil {
+					t.Errorf("echo call %d/%d: %v", l, i, err)
+				}
+			}
+		}(l)
+	}
+	echoWG.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, g := range slow {
+		<-g.entered
+	}
+	<-held.entered
+	// Every wedged or waiting call is queued, and the timer was re-armed
+	// no later than the earliest of them.
+	waitQueued(sys, clk, slowComps*callsPerSlow+cancels)
+	calls, armed := sys.DeadlineQueue()
+	if calls != slowComps*callsPerSlow+cancels {
+		t.Fatalf("%d calls queued, want %d", calls, slowComps*callsPerSlow+cancels)
+	}
+	if earliest := simtest.Epoch.Add(10 * time.Millisecond); armed.After(earliest) {
+		t.Fatalf("timer armed at %v, after the earliest queued deadline %v: push did not re-arm", armed, earliest)
+	}
+
+	for _, cancel := range cancelFns {
+		cancel()
+	}
+	for i := 0; i < cancels; i++ {
+		if err := <-canceled; !errors.Is(err, core.ErrCanceled) {
+			t.Errorf("canceled call: got %v, want ErrCanceled", err)
+		}
+	}
+	clk.Advance(100 * time.Millisecond)
+	for i := 0; i < slowComps*callsPerSlow; i++ {
+		if err := <-expired; !errors.Is(err, core.ErrDeadline) {
+			t.Errorf("expired call: got %v, want ErrDeadline", err)
+		}
+	}
+	wg.Wait()
+	if st := sys.Stats(); st.Timeouts != slowComps*callsPerSlow || st.Cancels != cancels {
+		t.Errorf("Timeouts = %d, Cancels = %d; want one verdict per call: %d, %d",
+			st.Timeouts, st.Cancels, slowComps*callsPerSlow, cancels)
+	}
+
+	// Release the wedged handlers. Only the call that held each slot ran:
+	// the others were abandoned before they started. A probe is admitted
+	// at the limit of one only once nothing else holds or waits for the
+	// slot.
+	sys.SetAdmissionLimit(1)
+	for _, g := range append(slow, held) {
+		close(g.gate)
+		for {
+			_, err := sys.DeliverDeadline(g.name, core.Message{Op: "probe"}, core.Span{}, clk.Now().Add(time.Second))
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, core.ErrOverloaded) {
+				t.Fatalf("probe %s: %v", g.name, err)
+			}
+			runtime.Gosched()
+		}
+		if n := g.handled.Load(); n != 2 {
+			t.Errorf("%s: %d handlers ran, want 2 (the one that held the slot and the probe)", g.name, n)
+		}
+		if max := g.maxInside.Load(); max != 1 {
+			t.Errorf("%s: max concurrent Handle = %d, want 1", g.name, max)
+		}
+	}
+
+	calls, armed = sys.DeadlineQueue()
+	if calls != 0 || armed.IsZero() {
+		t.Fatalf("after every verdict: %d queued, armed at %v; want 0 and a timer still armed", calls, armed)
+	}
+	clk.AdvanceTo(armed)
+	for i := 0; ; i++ {
+		_, armed = sys.DeadlineQueue()
+		if armed.IsZero() && serveGoroutines() <= serveBefore {
+			break
+		}
+		if i == 1000 {
+			t.Fatalf("the queue's goroutine outlived its armed instant (armed %v, %d serving, %d before)", armed, serveGoroutines(), serveBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainedSystemIsCollectable: once a System's budgeted calls have all
+// returned, the System becomes unreachable even while its deadline queue's
+// timer, and so its goroutine, is still waiting for the armed instant.
+func TestDrainedSystemIsCollectable(t *testing.T) {
+	clk := simtest.NewClock()
+	collected := make(chan struct{})
+	func() {
+		sys := core.NewSystem(core.NewMonolith(0))
+		sys.SetClock(clk)
+		if err := sys.Launch(&simEcho{name: "echo"}, false, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.InitAll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.DeliverDeadline("echo", core.Message{Op: "x"}, core.Span{}, clk.Now().Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(sys, func(*core.System) { close(collected) })
+	}()
+	if n := clk.Pending(); n != 1 {
+		t.Fatalf("%d timers armed, want the queue's one", n)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a System with no calls in flight stayed reachable while its deadline queue's timer was armed")
 }

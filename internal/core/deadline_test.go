@@ -175,3 +175,38 @@ func TestAdmissionLimitZeroUnbounded(t *testing.T) {
 		t.Errorf("Overloads = %d with the bound disabled", st.Overloads)
 	}
 }
+
+// mirrorComp echoes the request data back without allocating.
+type mirrorComp struct{}
+
+func (mirrorComp) CompName() string    { return "mirror" }
+func (mirrorComp) CompVersion() string { return "1.0" }
+func (mirrorComp) Init(*Ctx) error     { return nil }
+func (mirrorComp) Handle(env Envelope) (Message, error) {
+	return Message{Op: "echo", Data: env.Msg.Data}, nil
+}
+
+// TestGuardedDeliverAllocs gates the cost of one budgeted hop: the call's
+// state comes from a pool and the deadline queue's timer is already armed,
+// so what is left is the handler goroutine's start, one object per call.
+func TestGuardedDeliverAllocs(t *testing.T) {
+	sys := newTestSystem(t)
+	if err := sys.Launch(mirrorComp{}, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+	msg := Message{Op: "put", Data: []byte("0123456789abcdef")}
+	deadline := time.Now().Add(time.Hour)
+	call := func() {
+		reply, err := sys.DeliverShared("mirror", msg, Span{}, deadline)
+		if err != nil || len(reply.Data) != len(msg.Data) {
+			t.Fatalf("budgeted deliver: %v, %q", err, reply.Data)
+		}
+	}
+	call() // arm the queue's timer and fill the pool
+	if allocs := testing.AllocsPerRun(1000, call); allocs > 1 {
+		t.Fatalf("a budgeted DeliverShared allocates %.2f objects per call, want at most 1", allocs)
+	}
+}

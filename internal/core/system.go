@@ -175,10 +175,14 @@ type System struct {
 	// invocation hot path.
 	admitLimit atomic.Int32
 
-	// clock is the time source for budget checks, the watchdog, and span
-	// timing. Defaults to the wall clock; SetClock swaps in a virtual one.
-	// Read lock-free on the hot path, so it must be set before traffic.
+	// clock is the time source for budget checks and span timing.
+	// Defaults to the wall clock; SetClock swaps in a virtual one. Read
+	// lock-free on the hot path, so it must be set before traffic.
 	clock Clock
+
+	// deadlines is the watchdog: every budgeted call in flight is queued
+	// there until its verdict (see deadline.go).
+	deadlines *deadlineQueue
 }
 
 // DefaultAdmissionLimit is the per-component admission-queue bound a new
@@ -191,13 +195,14 @@ const DefaultAdmissionLimit = 256
 func NewSystem(sub Substrate) *System {
 	base := spanBase()
 	s := &System{
-		sub:      sub,
-		props:    sub.Properties(),
-		nodes:    make(map[string]*node),
-		domains:  make(map[string]*domainState),
-		spanSeq:  base,
-		traceSeq: base,
-		clock:    realClock{},
+		sub:       sub,
+		props:     sub.Properties(),
+		nodes:     make(map[string]*node),
+		domains:   make(map[string]*domainState),
+		spanSeq:   base,
+		traceSeq:  base,
+		clock:     realClock{},
+		deadlines: newDeadlineQueue(realClock{}),
 	}
 	s.admitLimit.Store(DefaultAdmissionLimit)
 	return s
@@ -643,7 +648,7 @@ func (s *System) invoke(ctx context.Context, n *node, env *Envelope, guarded, co
 		s.noteBudgetErr(err, n.comp.CompName(), env.Span)
 		return Message{}, err
 	}
-	return s.invokeGuarded(ctx, n, *env, compromised, obs)
+	return s.invokeGuarded(ctx, n, env, compromised, obs)
 }
 
 // invokeQueued is invoke's contended unguarded path: the slot holder is

@@ -20,7 +20,7 @@ import (
 var Epoch = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Clock is a deterministic virtual time source. It satisfies core.Clock
-// (Now + After) and netsim.Clock (Now) structurally, and its Sleep/Now
+// (Now + At) and netsim.Clock (Now) structurally, and its Sleep/Now
 // methods slot straight into cluster.Config's func seams — one clock
 // drives the whole stack.
 //
@@ -56,16 +56,16 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// After arms a virtual timer: the returned channel receives once the
-// clock has been advanced past d from now. A non-positive d fires
-// immediately, matching time.NewTimer. The stop function disarms the
-// timer and reports whether it was still pending.
-func (c *Clock) After(d time.Duration) (<-chan time.Time, func() bool) {
+// At arms a virtual timer: the returned channel receives once the clock
+// has been advanced to at. An instant not after Now fires immediately,
+// matching time.NewTimer with a non-positive duration. The stop function
+// disarms the timer and reports whether it was still pending.
+func (c *Clock) At(at time.Time) (<-chan time.Time, func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &simTimer{at: c.now.Add(d), seq: c.seq, ch: make(chan time.Time, 1)}
+	t := &simTimer{at: at, seq: c.seq, ch: make(chan time.Time, 1)}
 	c.seq++
-	if d <= 0 {
+	if !at.After(c.now) {
 		t.fired = true
 		t.ch <- c.now
 		return t.ch, func() bool { return false }
@@ -141,8 +141,8 @@ func (c *Clock) Pending() int {
 }
 
 // WaitTimers blocks (yielding the scheduler) until at least n timers are
-// armed. Simulation drivers use it to synchronize with a watchdog that
-// arms its expiry on another goroutine before advancing time past it.
+// armed. Simulation drivers use it to synchronize with a deadline queue
+// that arms its timer on another goroutine before advancing time past it.
 func (c *Clock) WaitTimers(n int) {
 	for {
 		c.mu.Lock()

@@ -581,9 +581,11 @@ func (h *Harness) CallStall(id, key string, budget time.Duration) error {
 		select {
 		case <-h.entered:
 			gated++
-			// The handler holds its execution slot; the watchdog's expiry
-			// timer is armed by the delivering goroutine. Wait for it,
-			// then advance past the deadline to abandon the handler.
+			// The handler holds its execution slot. The replica's deadline
+			// queue armed its timer, for this deadline or an earlier one,
+			// when the call was queued, before the handler started. Wait
+			// for an armed timer, then advance past the deadline to
+			// abandon the handler.
 			h.Clock.WaitTimers(1)
 			h.Clock.AdvanceTo(deadline.Add(time.Millisecond))
 			continue

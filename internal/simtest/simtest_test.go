@@ -16,12 +16,12 @@ var (
 
 // TestClockTimers pins the virtual clock's contract: timers fire in
 // deadline order, the clock reads each timer's own deadline when it
-// fires, stop disarms, and non-positive delays fire immediately.
+// fires, stop disarms, and instants not after Now fire immediately.
 func TestClockTimers(t *testing.T) {
 	clk := NewClock()
-	c1, _ := clk.After(10 * time.Millisecond)
-	c2, _ := clk.After(5 * time.Millisecond)
-	c3, stop := clk.After(7 * time.Millisecond)
+	c1, _ := clk.At(Epoch.Add(10 * time.Millisecond))
+	c2, _ := clk.At(Epoch.Add(5 * time.Millisecond))
+	c3, stop := clk.At(Epoch.Add(7 * time.Millisecond))
 	if got := clk.Pending(); got != 3 {
 		t.Fatalf("pending = %d, want 3", got)
 	}
@@ -48,11 +48,13 @@ func TestClockTimers(t *testing.T) {
 	if _, ok := <-c1; !ok {
 		t.Fatal("10ms timer channel broken")
 	}
-	now, _ := clk.After(0)
-	select {
-	case <-now:
-	default:
-		t.Fatal("zero-delay timer did not fire immediately")
+	for _, at := range []time.Time{clk.Now(), Epoch} {
+		c, _ := clk.At(at)
+		select {
+		case <-c:
+		default:
+			t.Fatalf("timer at %v did not fire immediately at %v", at, clk.Now())
+		}
 	}
 	if got, want := clk.Elapsed(), 16*time.Millisecond; got != want {
 		t.Fatalf("elapsed = %v, want %v", got, want)
