@@ -62,9 +62,10 @@ bench:
 # One iteration of every benchmark: catches bench rot (compile errors,
 # panics, a broken fixture) in CI without paying full measurement time.
 # The allocation gates ride along: the batched-ingest hot path must stay
-# at 0 allocs/op per reading, the coalesced sealed-record hot path at
-# 0 allocs/op per sub-frame at depth 16, and a budgeted hop through core
-# at 1 allocation per call — asserted, not just measured.
+# at 0 allocs/op per reading, the sealed-record hot path at 0 allocs/op
+# per sub-frame both at depth 16 and for a lone sequential caller, and a
+# budgeted hop through core at 1 allocation per call — asserted, not just
+# measured.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) test -count=1 -run 'TestBatchIngestZeroAllocPerReading|TestCoalescedZeroAllocPerSubFrame|TestGuardedDeliverAllocs' ./internal/distributed ./internal/core

@@ -88,7 +88,9 @@ func FuzzServerRespond(f *testing.F) {
 	})
 }
 
-func FuzzSessionOpen(f *testing.F) {
+// fuzzSessions runs one handshake and returns its client and server
+// sessions.
+func fuzzSessions(f *testing.F) (cs, ss *securechan.Session) {
 	id := cryptoutil.NewSigner("fuzz-server")
 	client, _ := securechan.NewClient(securechan.ClientConfig{
 		Rand:         cryptoutil.NewPRNG("c"),
@@ -105,10 +107,15 @@ func FuzzSessionOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ss, err := pending.Complete(finish)
+	ss, err = pending.Complete(finish)
 	if err != nil {
 		f.Fatal(err)
 	}
+	return cs, ss
+}
+
+func FuzzSessionOpen(f *testing.F) {
+	cs, ss := fuzzSessions(f)
 	rec, _ := cs.Seal([]byte("genuine record"))
 	f.Add(rec)
 	f.Add([]byte{})
@@ -211,7 +218,7 @@ func FuzzDistributedFrame(f *testing.F) {
 	coalHdr := distributed.AppendCoalHeader(nil, []uint64{1, 2, 3})
 	f.Add(coalHdr)
 	f.Add(append(append([]byte{}, coalHdr...), corr...)) // header backed by a frame
-	f.Add(corr)                                          // the sub-frame format IS the plain v3 frame format (interop)
+	f.Add(corr)                                          // one sub-frame, as cut out of its record
 	// A frame without the correlation field — the retired v2 shape — must
 	// be rejected.
 	f.Add(append([]byte{0}, untraced[9:]...))
@@ -297,23 +304,34 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzCoalescedRecord covers the wire-v3 coalesced record codec: the
-// cleartext header (magic, count, strictly increasing correlation table —
-// also the sealed record's extra AD) and the decrypted body (count,
-// length-prefixed sub-frames). Both use the canonical-form oracle:
-// whatever decodes must reencode byte-identically, so a duplicate or
-// shuffled correlation table has no accepted encoding and no sub-frame can
-// be accounted twice. Seeds mix well-formed records, truncated sub-frame
-// tables, duplicate correlation IDs, and v3-plain↔coalesced confusion —
-// plain frames fed to the coalesced parsers and vice versa.
+// FuzzCoalescedRecord is the record-level oracle. Every request and reply
+// on the wire is a coalesced record: a cleartext header (magic, count,
+// strictly increasing correlation table) that is also the sealed record's
+// extra AD, over a decrypted body (count, length-prefixed sub-frames). The
+// header and the body use the canonical-form oracle: whatever decodes must
+// reencode byte-identically, so a duplicate or shuffled correlation table
+// has no accepted encoding and no sub-frame can be accounted twice. A
+// header that parses is also opened, under its own bytes as AD, on a
+// session that never received the genuine record: whatever opens must be
+// that record, so a header rewritten over genuine ciphertext never opens.
+// Seeds mix well-formed records, a genuine one-sub record as a lone
+// caller's flush seals it, truncated sub-frame tables, duplicate
+// correlation IDs, and format confusion — a bare request frame where a
+// record belongs, and a header where a body belongs.
 func FuzzCoalescedRecord(f *testing.F) {
-	plain := distributed.AppendRequest(nil, distributed.Request{
+	cs, ss := fuzzSessions(f)
+	frame := distributed.AppendRequest(nil, distributed.Request{
 		Corr: 7, Op: "put", Data: []byte("doc")})
 	record := make([]byte, 40) // stand-in for sealed bytes behind the header
 	hdr1 := append(distributed.AppendCoalHeader(nil, []uint64{7}), record...)
 	hdrN := append(distributed.AppendCoalHeader(nil, []uint64{1, 2, 1 << 56}), record...)
-	body1 := distributed.AppendCoalBody(nil, [][]byte{plain})
-	bodyN := distributed.AppendCoalBody(nil, [][]byte{plain, plain, []byte{0}})
+	body1 := distributed.AppendCoalBody(nil, [][]byte{frame})
+	bodyN := distributed.AppendCoalBody(nil, [][]byte{frame, frame, []byte{0}})
+	genuineHdr := distributed.AppendCoalHeader(nil, []uint64{7})
+	genuine, err := cs.SealToAD(slices.Clone(genuineHdr), body1, genuineHdr)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(hdr1)
 	f.Add(hdrN)
 	f.Add(body1)
@@ -334,10 +352,11 @@ func FuzzCoalescedRecord(f *testing.F) {
 	f.Add(bodyN[:len(bodyN)-2])                  // truncated final sub-frame
 	f.Add(append(append([]byte{}, body1...), 0)) // trailing byte
 	f.Add([]byte{0, 1, 0, 0, 0, 0})              // zero-length sub-frame
-	// Version confusion both ways: a plain v3 frame where a coalesced
-	// record belongs, and a coalesced header where a body belongs.
-	f.Add(plain)
+	// Format confusion both ways: a bare request frame where a record
+	// belongs, and a record header where a body belongs.
+	f.Add(frame)
 	f.Add(hdr1[:3+8])
+	f.Add(genuine) // count-1 header over a sealed one-frame body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if hdr, rest, err := distributed.ReencodeCoalHeader(data); err == nil {
 			if !bytes.Equal(hdr, data[:len(hdr)]) {
@@ -345,6 +364,10 @@ func FuzzCoalescedRecord(f *testing.F) {
 			}
 			if len(hdr)+len(rest) != len(data) {
 				t.Fatalf("header+record do not partition the input: %d+%d != %d", len(hdr), len(rest), len(data))
+			}
+			if pt, err := ss.OpenToAD(nil, rest, hdr); err == nil &&
+				(!bytes.Equal(hdr, genuineHdr) || !bytes.Equal(pt, body1)) {
+				t.Fatalf("forged record opened: header %x, body %x", hdr, pt)
 			}
 		}
 		canon, err := distributed.ReencodeCoalBody(data)

@@ -1,15 +1,18 @@
-// Wire-level frame coalescing: concurrent requests sealed as one record.
+// Wire-level frame coalescing: every request and reply is sealed as a
+// coalesced record.
 //
 // Pipelining (wire v3) lets concurrent callers share wire *rounds*, but
 // each call still pays its own AEAD pass. Coalescing amortizes the crypto
 // too: senders parked behind the flush leader enqueue plaintext sub-frames,
 // and the leader drains the queue and seals everything it drained (at most
 // MaxCoalesce) as a single coalesced record — one AEAD pass, one auth tag,
-// N requests. The queue only ever holds callers that are waiting, so it
-// needs no other cap. The exporter unseals once and runs the record as one
-// job: its sub-frames execute in header order on one goroutine (core
-// serializes the exported component's handlers anyway), and their replies
-// go back the same way, sealed as one coalesced reply record.
+// N requests. A lone caller's flush seals a record of one sub-frame: the
+// coalesced record is the only record format on the wire. The queue only
+// ever holds callers that are waiting, so it needs no other cap. The
+// exporter unseals once and runs the record as one job: its sub-frames
+// execute in header order on one goroutine (core serializes the exported
+// component's handlers anyway), and their replies go back the same way,
+// sealed as one coalesced reply record.
 //
 // Wire format of a coalesced record (all integers big-endian):
 //
@@ -30,15 +33,16 @@
 //
 // where each request sub is a complete v3 request frame (frameCorr set,
 // matching the header entry) and each reply sub is a complete reply frame
-// (8-byte correlation prefix, status byte, payload). Sub-frames are the
-// existing wire format verbatim, which is what makes v3-plain and
-// coalesced traffic interoperable: a drain of one frame seals a plain
-// record, byte-identical to the pre-coalescing wire.
+// (8-byte correlation prefix, status byte, payload).
 //
-// The magic byte cannot collide with other datagram kinds: a plain record
-// starts with its 8-byte big-endian send sequence (first byte zero until
-// 2^56 records), and a handshake hello starts with the 2-byte length
-// prefix of a 32-byte key field (first byte zero).
+// The exporter tells a record from a handshake flight by its first byte,
+// and never trial-opens one as the other. Handshake flights start with a
+// zero byte: a hello with the 2-byte length prefix of its 32-byte key
+// field, a finish with the 8-byte big-endian sequence of the handshake's
+// first sealed record. So on an established session a datagram starting
+// with the magic byte is opened as a record; any other datagram resets the
+// session if securechan.HelloShaped says it is a hello, and is dropped
+// otherwise.
 package distributed
 
 import (
@@ -48,6 +52,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lateral/internal/core"
 	"lateral/internal/netsim"
@@ -221,7 +226,7 @@ func ReencodeCoalBody(b []byte) ([]byte, error) {
 // that doesn't is simply not called.
 type CoalesceMonitor interface {
 	// StubCoalesce records one coalesced record sealed carrying subframes
-	// sub-frames (always ≥ 2; single flushes seal plain records).
+	// sub-frames (always ≥ 2; a record of one sub-frame is not reported).
 	StubCoalesce(stub string, subframes int)
 }
 
@@ -345,14 +350,11 @@ func (s *Stub) flushQueue() {
 	c.mu.Unlock()
 }
 
-// flushBatch seals one record carrying the drained batch and transmits it.
-// A batch of one seals a plain v3 record — byte-identical to the
-// pre-coalescing wire — so sequential callers and mixed-version peers
-// interoperate unchanged; two or more seal a coalesced record. Stale
-// sub-frames (session replaced since enqueue) are dropped: their callers
-// were already resolved by the replacing path's broadcast. A seal or send
-// failure resolves every drained caller whose registration this flush
-// still owns.
+// flushBatch seals one coalesced record carrying the drained batch and
+// transmits it. Stale sub-frames (session replaced since enqueue) are
+// dropped: their callers were already resolved by the replacing path's
+// broadcast. A seal or send failure resolves every drained caller whose
+// registration this flush still owns.
 func (s *Stub) flushBatch(batch []*pendingSub) {
 	s.mu.Lock()
 	sess, gen := s.sess, s.gen
@@ -384,42 +386,29 @@ func (s *Stub) flushBatch(batch []*pendingSub) {
 		}
 	}
 
-	var rec []byte
-	var err error
-	rp := getBuf()
-	if len(live) == 1 {
-		s.sendMu.Lock()
-		rec, err = sess.SealTo((*rp)[:0], live[0].frame)
-		if err == nil {
-			err = s.cfg.Endpoint.Send(s.cfg.RemoteEndpoint, rec)
-		}
-		s.sendMu.Unlock()
-	} else {
-		// Header and body in pooled scratch; the sealed record is appended
-		// directly after the header so the datagram goes out as one slice.
-		hdr := (*rp)[:0]
-		hdr = append(hdr, CoalMagic, byte(len(live)>>8), byte(len(live)))
-		for _, sub := range live {
-			hdr = binary.BigEndian.AppendUint64(hdr, sub.corr)
-		}
-		bp := getBuf()
-		body := append((*bp)[:0], byte(len(live)>>8), byte(len(live)))
-		for _, sub := range live {
-			body = binary.BigEndian.AppendUint32(body, uint32(len(sub.frame)))
-			body = append(body, sub.frame...)
-		}
-		s.sendMu.Lock()
-		rec, err = sess.SealToAD(hdr, body, hdr)
-		if err == nil {
-			err = s.cfg.Endpoint.Send(s.cfg.RemoteEndpoint, rec)
-		}
-		s.sendMu.Unlock()
-		putBuf(bp, body)
-		if rec == nil {
-			rec = hdr
-		}
+	// Header and body in pooled scratch; the sealed record is appended
+	// directly after the header so the datagram goes out as one slice.
+	hp, bp := getBuf(), getBuf()
+	hdr := append((*hp)[:0], CoalMagic, byte(len(live)>>8), byte(len(live)))
+	for _, sub := range live {
+		hdr = binary.BigEndian.AppendUint64(hdr, sub.corr)
 	}
-	putBuf(rp, rec)
+	body := append((*bp)[:0], byte(len(live)>>8), byte(len(live)))
+	for _, sub := range live {
+		body = binary.BigEndian.AppendUint32(body, uint32(len(sub.frame)))
+		body = append(body, sub.frame...)
+	}
+	s.sendMu.Lock()
+	rec, err := sess.SealToAD(hdr, body, hdr)
+	if err == nil {
+		err = s.cfg.Endpoint.Send(s.cfg.RemoteEndpoint, rec)
+	}
+	s.sendMu.Unlock()
+	putBuf(bp, body)
+	if rec == nil {
+		rec = hdr
+	}
+	putBuf(hp, rec)
 
 	if err != nil {
 		for _, sub := range live {
@@ -456,13 +445,17 @@ func (s *Stub) subDone(sub *pendingSub) {
 	subPool.Put(sub)
 }
 
-// demuxCoalesced opens one coalesced reply record and routes every
-// sub-reply it carries, mirroring demux: each sub-frame is a complete
-// reply frame whose correlation prefix must match the AD-bound header
-// entry at its position. A header/body mismatch or a malformed body is a
-// session-level failure (the record authenticated, so the peer's sealer is
-// broken); orphaned sub-replies are counted and dropped individually.
-func (s *Stub) demuxCoalesced(sess *securechan.Session, gen, ownCorr uint64, dg netsim.Datagram) (res result, mine bool, err error) {
+// demux opens one reply record and routes every sub-reply it carries: each
+// sub-frame is a complete reply frame whose correlation prefix must match
+// the AD-bound header entry at its position. mine reports that a sub-reply
+// resolved the receiver's own call (res is its verdict). A non-nil error is
+// a session-level failure the caller must escalate: a datagram that is not
+// a record or does not open, or an authenticated record whose body
+// disagrees with its header or is malformed (the peer's sealer is broken).
+// Sub-replies naming no parked caller — duplicates, unknown IDs, or late
+// replies whose caller already unwound on its deadline — are counted and
+// dropped, never misdelivered.
+func (s *Stub) demux(sess *securechan.Session, gen, ownCorr uint64, dg netsim.Datagram) (res result, mine bool, err error) {
 	hdr, sealed, n, herr := cutCoalHeader(dg.Payload)
 	if herr != nil {
 		dg.Release()
@@ -523,46 +516,55 @@ func (s *Stub) demuxCoalesced(sess *securechan.Session, gen, ownCorr uint64, dg 
 	return res, mine, berr
 }
 
-// coalFault, when armed, perturbs the next coalesced record the exporter
-// opens: "drop" removes one sub-frame entirely (its caller never gets a
-// sub-reply and resolves with a typed transport error on its next dry
-// round), "tamper" corrupts one sub-frame's flags byte before decode (its
+// coalFault, when armed, perturbs the next record the exporter opens,
+// whatever its sub-frame count: "drop" removes one sub-frame entirely (its
+// caller never gets a sub-reply and resolves with a typed transport error
+// on its next dry round; a record of one sub-frame then gets no reply at
+// all), "tamper" corrupts one sub-frame's flags byte before decode (its
 // caller sees a typed remote error). The simulation harness arms this to
 // prove sibling sub-frames are unaffected — the AEAD makes sub-frame
 // surgery at the network layer impossible, so the fault lives behind it.
+// armed lets every record opened while the hook is disarmed skip the lock.
 type coalFault struct {
-	mu   sync.Mutex
-	mode string
-	idx  int
+	armed atomic.Bool
+	mu    sync.Mutex
+	mode  string
+	idx   int
 }
 
 // FaultNextCoalesced arms the exporter's coalesce fault for the next
-// coalesced record: mode is "drop" or "tamper", idx selects the sub-frame
-// (wrapped into range). Test/simulation hook only.
+// record it opens, of one sub-frame or more: mode is "drop" or "tamper",
+// idx selects the sub-frame (wrapped into range). Test/simulation hook
+// only.
 func (e *Exporter) FaultNextCoalesced(mode string, idx int) {
 	e.fault.mu.Lock()
 	e.fault.mode, e.fault.idx = mode, idx
+	e.fault.armed.Store(true)
 	e.fault.mu.Unlock()
 }
 
 // takeFault disarms and returns the pending coalesce fault, if any.
 func (e *Exporter) takeFault() (mode string, idx int) {
+	if !e.fault.armed.Load() {
+		return "", 0
+	}
 	e.fault.mu.Lock()
 	mode, idx = e.fault.mode, e.fault.idx
 	e.fault.mode = ""
+	e.fault.armed.Store(false)
 	e.fault.mu.Unlock()
 	return mode, idx
 }
 
-// openCoalesced opens one coalesced request record and queues it as one
-// job. The header is the record's extra AD, so a tampered count or
-// correlation table fails the open. The body's framing is checked here
-// too — a count equal to the header's, a valid length for every
-// sub-frame, no trailing bytes — so a malformed record is dropped before
-// any of its sub-frames runs. The header is copied in front of the
-// plaintext because the datagram holding it is released before the job
-// runs.
-func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job) error {
+// openRecord opens one request record and queues it as one job. The
+// header is the record's extra AD, so a tampered count or correlation
+// table fails the open. The body's framing is checked here too — a count
+// equal to the header's, a valid length for every sub-frame, no trailing
+// bytes — so a malformed record is dropped before any of its sub-frames
+// runs; the same walk notes whether any sub-frame carries a budget. The
+// header is copied in front of the plaintext because the datagram holding
+// it is released before the job runs.
+func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, jobs *[]*job) error {
 	hdr, sealed, n, err := cutCoalHeader(dg.Payload)
 	if err != nil {
 		dg.Release()
@@ -574,11 +576,8 @@ func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job
 	ss.openMu.Unlock()
 	dg.Release()
 	if err != nil {
-		// A coalesced record can never be hello-shaped (the magic byte sees
-		// to it), so unlike openRequest there is no session-reset path here:
-		// drop, preserving the failure.
 		putBuf(ob, nil)
-		return fmt.Errorf("distributed: undecryptable coalesced record from %s: %w", dg.From, err)
+		return fmt.Errorf("distributed: undecryptable record from %s: %w", dg.From, err)
 	}
 	bn, rest, err := cutCoalBodyCount(raw[len(hdr):])
 	if err == nil && bn != n {
@@ -589,10 +588,15 @@ func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job
 		fmode, fidx = e.takeFault()
 		fidx = ((fidx % n) + n) % n
 	}
+	budgeted := false
 	for i := 0; err == nil && i < n; i++ {
 		var sub []byte
 		sub, rest, err = cutCoalSub(rest)
-		if err == nil && fmode == "tamper" && i == fidx {
+		if err != nil {
+			break
+		}
+		budgeted = budgeted || sub[0]&frameBudget != 0
+		if fmode == "tamper" && i == fidx {
 			sub[0] |= 0x80 // an unknown frame-version bit: decode must reject
 		}
 	}
@@ -604,7 +608,7 @@ func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job
 		return err
 	}
 	j := jobPool.Get().(*job)
-	j.ss, j.from, j.buf, j.raw, j.rec, j.drop = ss, dg.From, ob, raw, true, -1
+	j.ss, j.from, j.buf, j.raw, j.drop, j.budgeted = ss, dg.From, ob, raw, -1, budgeted
 	if fmode == "drop" {
 		j.drop = fidx
 	}
@@ -612,18 +616,23 @@ func (e *Exporter) openCoalesced(ss *sessState, dg netsim.Datagram, jobs *[]*job
 	return nil
 }
 
-// executeRecord runs a coalesced record's sub-frames in header order on
-// the calling goroutine and seals their replies as one coalesced reply
-// record, under the request header minus any sub-frame the fault hook
-// dropped (a record that lost every sub-frame sends nothing). Every budget
-// is anchored on one clock read taken as the record starts, so time a
-// sub-frame spends behind its siblings is spent from its own budget, as it
-// would be in the caller's pipeline. A ping is answered inline without
-// reaching the component; a sub-frame that fails to decode, or whose
-// correlation ID disagrees with the AD-bound header, gets a statusErr
-// reply and its siblings are unaffected.
+// executeRecord runs a record's sub-frames in header order on the calling
+// goroutine and seals their replies as one coalesced reply record, under
+// the request header minus any sub-frame the fault hook dropped (a record
+// that lost every sub-frame sends nothing). The request's pooled buffer is
+// released only after the reply is sealed, because a reply may alias the
+// request data (an echo). Every budget is anchored on one clock read taken
+// as the record starts — taken only when a sub-frame carries a budget — so
+// time a sub-frame spends behind its siblings is spent from its own
+// budget, as it would be in the caller's pipeline. A ping is answered
+// inline without reaching the component; a sub-frame that fails to decode,
+// or whose correlation ID disagrees with the AD-bound header, gets a
+// statusErr reply and its siblings are unaffected.
 func (e *Exporter) executeRecord(j *job) error {
-	now := e.clock()
+	var now time.Time
+	if j.budgeted {
+		now = e.clock()
+	}
 	n := int(j.raw[1])<<8 | int(j.raw[2])
 	hdr := j.raw[:3+8*n]
 	rest := j.raw[len(hdr)+2:] // past the body count, checked at open
@@ -681,8 +690,7 @@ func (e *Exporter) executeRecord(j *job) error {
 }
 
 // appendReplyFrame appends one complete reply frame — correlation prefix,
-// status byte, payload — to dst. The single-record reply path and
-// coalesced records share this encoding.
+// status byte, payload — to dst: one sub-frame of a reply record.
 func appendReplyFrame(dst []byte, corr uint64, msg core.Message, herr error) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, corr)
 	switch {

@@ -1,16 +1,18 @@
 package distributed
 
-// The coalesced-path allocation gate: with a deep pipeline racing, the
-// per-sub-frame marginal cost on the sealed hot path — enqueue, flush
-// into a shared record, demux the coalesced reply — must be
-// allocation-free. Per-RECORD costs (the pooled assembly
+// The record-path allocation gate: every call travels in a coalesced
+// record, so the sealed hot path — enqueue, flush into a record, demux the
+// reply record — must be allocation-free per call both for a lone
+// sequential caller, whose every record carries one sub-frame, and with a
+// deep pipeline racing, where per-RECORD costs (the pooled assembly
 // buffer's first growth, a netsim datagram) amortize over the sub-frames
-// they carry; anything per-CALL shows up as >= 1 in the whole-process
+// they carry. Anything per-CALL shows up as >= 1 in the whole-process
 // malloc count and fails the gate. `make bench-smoke` asserts this on
 // every CI pass next to the batched-ingest gate.
 
 import (
 	"crypto/ed25519"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,6 +41,16 @@ func TestCoalescedZeroAllocPerSubFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path; bench-smoke runs this gate without -race")
 	}
+	for _, depth := range []int{1, 16} {
+		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) { zeroAllocRecordPath(t, depth) })
+	}
+}
+
+// zeroAllocRecordPath runs depth concurrent callers through one stub and
+// fails if the measured phase allocates one object or more per call. A
+// lone caller's records must each carry one sub-frame; deeper pipelines
+// must coalesce.
+func zeroAllocRecordPath(t *testing.T, depth int) {
 	vendor := cryptoutil.NewSigner("intel")
 	net := netsim.New()
 	sub, err := sgx.New(sgx.Config{DeviceSeed: "alloc-cpu", Vendor: vendor})
@@ -92,7 +104,6 @@ func TestCoalescedZeroAllocPerSubFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const depth = 16
 	var failures atomic.Int64
 	run := func(calls int) {
 		var wg sync.WaitGroup
@@ -115,7 +126,7 @@ func TestCoalescedZeroAllocPerSubFrame(t *testing.T) {
 	// before the measured phase.
 	run(depth * 16)
 
-	const calls = depth * 64
+	calls := depth * 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run(calls)
@@ -126,12 +137,19 @@ func TestCoalescedZeroAllocPerSubFrame(t *testing.T) {
 	}
 	perSub := float64(after.Mallocs-before.Mallocs) / float64(calls)
 	if perSub >= 1 {
-		t.Fatalf("coalesced hot path allocates %.3f per sub-frame (%d mallocs / %d calls), want 0",
+		t.Fatalf("record hot path allocates %.3f per sub-frame (%d mallocs / %d calls), want 0",
 			perSub, after.Mallocs-before.Mallocs, calls)
 	}
 	st := stub.Stats()
+	if depth == 1 {
+		if st.CoalescedRecords != 0 || st.Records != st.Issued {
+			t.Fatalf("a sequential caller sealed %d records, %d coalesced, for %d calls — want one record of one sub-frame per call",
+				st.Records, st.CoalescedRecords, st.Issued)
+		}
+		return
+	}
 	if st.CoalescedRecords == 0 {
-		t.Fatal("no records coalesced — the gate measured the plain path, not the coalesced one")
+		t.Fatal("no records coalesced — the gate measured one-sub records only")
 	}
 	if st.Records >= st.Issued {
 		t.Fatalf("sealed %d records for %d issued calls — coalescing never amortized an AEAD pass",

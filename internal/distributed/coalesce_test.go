@@ -116,6 +116,8 @@ type coalClient struct {
 	// leaving the final sub-frame's length prefix claiming bytes the body
 	// does not carry.
 	truncateLast bool
+	// last is the record call sealed and sent most recently.
+	last []byte
 }
 
 func newCoalClient(t *testing.T, f *fixture, name string) *coalClient {
@@ -153,6 +155,7 @@ func (c *coalClient) call(t *testing.T, subs []coalSub) (replies map[uint64][]by
 	if c.tamperHeader {
 		rec[3] ^= 0x01 // flip a bit in the first correlation ID
 	}
+	c.last = rec
 	if err := c.ep.Send("cloud", rec); err != nil {
 		t.Fatal(err)
 	}
@@ -277,55 +280,104 @@ func TestCoalescedSubCorrMismatch(t *testing.T) {
 	}
 }
 
-// TestCoalesceFaultDrop arms the exporter's drop fault: the dropped
-// sub-frame is excluded from the reply entirely (its caller would resolve
-// with a typed transport error on its next dry round) while its sibling
-// completes normally.
+// TestCoalesceFaultDrop arms the exporter's drop fault on the next record,
+// whatever its size: the dropped sub-frame is excluded from the reply
+// entirely (its caller resolves with a typed transport error on its next
+// dry round) and never runs, while a sibling completes normally. A record
+// of one sub-frame loses its only one and gets no reply at all.
 func TestCoalesceFaultDrop(t *testing.T) {
-	f := newFixture(t, nil, false)
-	c := newCoalClient(t, f, "drop")
+	for _, tc := range []struct {
+		name string
+		subs []coalSub
+	}{
+		{"two sub-frames", []coalSub{
+			{corr: 1, op: "put", data: []byte("k=v")},
+			{corr: 2, op: "put", data: []byte("k2=v2")},
+		}},
+		{"one sub-frame", []coalSub{{corr: 1, op: "put", data: []byte("k=v")}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, nil, false)
+			c := newCoalClient(t, f, "drop")
 
-	f.exporter.FaultNextCoalesced("drop", 0)
-	replies, ok, err := c.call(t, []coalSub{
-		{corr: 1, op: "put", data: []byte("k=v")},
-		{corr: 2, op: "put", data: []byte("k2=v2")},
+			f.exporter.FaultNextCoalesced("drop", 0)
+			replies, ok, err := c.call(t, tc.subs)
+			if err != nil || ok != (len(tc.subs) > 1) {
+				t.Fatalf("serve = %v, replied = %v for %d sub-frames", err, ok, len(tc.subs))
+			}
+			if _, present := replies[1]; present {
+				t.Fatal("dropped sub-frame still got a reply")
+			}
+			for _, sub := range tc.subs[1:] {
+				if r := replies[sub.corr]; len(r) == 0 || r[0] != statusOK {
+					t.Fatalf("sibling reply = % x, want statusOK", r)
+				}
+			}
+
+			// The fault is one-shot: the next record is untouched, and the
+			// dropped put never ran.
+			replies, ok, err = c.call(t, []coalSub{{corr: 3, op: "get", data: []byte("k")}, {corr: 4, op: "get", data: []byte("k")}})
+			if err != nil || !ok || len(replies) != 2 {
+				t.Fatalf("fault not one-shot: %v, %v, %d replies", err, ok, len(replies))
+			}
+			if r := replies[3]; len(r) == 0 || r[0] != statusErr {
+				t.Fatalf("get k after its put was dropped = % x, want statusErr (no such doc)", r)
+			}
+		})
+	}
+
+	// Through the real stub, a lone caller's record is the one the fault
+	// lands on: Handle fails with a transport error, and the component
+	// never ran.
+	t.Run("one sub-frame through the stub", func(t *testing.T) {
+		f := newFixture(t, nil, false)
+		if err := f.stub.Connect(); err != nil {
+			t.Fatal(err)
+		}
+		f.exporter.FaultNextCoalesced("drop", 0)
+		if _, err := f.stub.Handle(core.Envelope{Msg: core.Message{Op: "put", Data: []byte("k=v")}}); !errors.Is(err, ErrTransport) {
+			t.Fatalf("put with its sub-frame dropped = %v, want ErrTransport", err)
+		}
+		if _, err := f.stub.Handle(core.Envelope{Msg: core.Message{Op: "get", Data: []byte("k")}}); !errors.Is(err, ErrRemote) {
+			t.Fatalf("get k after its put was dropped = %v, want ErrRemote (no such doc)", err)
+		}
 	})
-	if err != nil || !ok {
-		t.Fatalf("serve = %v, replied = %v", err, ok)
-	}
-	if _, present := replies[1]; present {
-		t.Fatal("dropped sub-frame still got a reply")
-	}
-	if r := replies[2]; len(r) == 0 || r[0] != statusOK {
-		t.Fatalf("sibling reply = % x, want statusOK", r)
-	}
-
-	// The fault is one-shot: the next record is untouched.
-	replies, ok, err = c.call(t, []coalSub{{corr: 3, op: "get", data: []byte("k2")}, {corr: 4, op: "get", data: []byte("k2")}})
-	if err != nil || !ok || len(replies) != 2 {
-		t.Fatalf("fault not one-shot: %v, %v, %d replies", err, ok, len(replies))
-	}
 }
 
-// TestCoalesceFaultTamper arms the tamper fault: the corrupted sub-frame
-// fails decode and gets a typed error reply, siblings unaffected.
+// TestCoalesceFaultTamper arms the tamper fault on the next record,
+// whatever its size: the corrupted sub-frame fails decode and gets a typed
+// error reply, siblings unaffected.
 func TestCoalesceFaultTamper(t *testing.T) {
-	f := newFixture(t, nil, false)
-	c := newCoalClient(t, f, "subtamper")
+	for _, tc := range []struct {
+		name string
+		subs []coalSub
+	}{
+		{"two sub-frames", []coalSub{
+			{corr: 1, op: "put", data: []byte("k=v")},
+			{corr: 2, op: "put", data: []byte("k2=v2")},
+		}},
+		{"one sub-frame", []coalSub{{corr: 1, op: "put", data: []byte("k=v")}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, nil, false)
+			c := newCoalClient(t, f, "subtamper")
 
-	f.exporter.FaultNextCoalesced("tamper", 1)
-	replies, ok, err := c.call(t, []coalSub{
-		{corr: 1, op: "put", data: []byte("k=v")},
-		{corr: 2, op: "put", data: []byte("k2=v2")},
-	})
-	if err != nil || !ok {
-		t.Fatalf("serve = %v, replied = %v", err, ok)
-	}
-	if r := replies[2]; len(r) == 0 || r[0] != statusErr {
-		t.Fatalf("tampered sub reply = % x, want statusErr", r)
-	}
-	if r := replies[1]; len(r) == 0 || r[0] != statusOK {
-		t.Fatalf("sibling reply = % x, want statusOK", r)
+			f.exporter.FaultNextCoalesced("tamper", 1)
+			replies, ok, err := c.call(t, tc.subs)
+			if err != nil || !ok {
+				t.Fatalf("serve = %v, replied = %v", err, ok)
+			}
+			tampered := tc.subs[1%len(tc.subs)].corr // index 1, wrapped into range
+			for _, sub := range tc.subs {
+				want := byte(statusOK)
+				if sub.corr == tampered {
+					want = statusErr
+				}
+				if r := replies[sub.corr]; len(r) == 0 || r[0] != want {
+					t.Fatalf("sub-frame %d reply = % x, want status %d", sub.corr, r, want)
+				}
+			}
+		})
 	}
 }
 
@@ -488,36 +540,49 @@ func TestConcurrentCallsCoalesce(t *testing.T) {
 	if st.Records >= st.Issued {
 		t.Errorf("records = %d for %d calls: coalescing saved nothing", st.Records, st.Issued)
 	}
-	// Every record is either plain (one sub-frame) or coalesced: the books
-	// must balance exactly.
-	if plain := st.Records - st.CoalescedRecords; plain+st.CoalescedSubs != st.Issued {
-		t.Errorf("record books unbalanced: %d plain + %d coalesced subs != %d issued",
-			plain, st.CoalescedSubs, st.Issued)
+	// Every record carries one sub-frame or is counted as coalesced: the
+	// books must balance exactly.
+	if single := st.Records - st.CoalescedRecords; single+st.CoalescedSubs != st.Issued {
+		t.Errorf("record books unbalanced: %d one-sub records + %d coalesced subs != %d issued",
+			single, st.CoalescedSubs, st.Issued)
 	}
 	if st.CoalescedSubs < 2*st.CoalescedRecords {
 		t.Errorf("coalesced records carry < 2 subs on average: %+v", st)
 	}
 }
 
-// TestSequentialCallsStayPlain pins wire interop: a purely sequential
-// caller never coalesces, so every record is a plain v3 record —
-// byte-compatible with pre-coalescing peers — and the explorer's
-// deterministic traces stay byte-identical.
-func TestSequentialCallsStayPlain(t *testing.T) {
-	f := newFixture(t, nil, false)
+// TestSequentialCallsSealOneSubRecords pins the one record format: a purely
+// sequential caller never coalesces, yet every record after the handshake,
+// in both directions, is a coalesced record of one sub-frame (the magic
+// byte, then a count of 1), and the books count one record per call.
+func TestSequentialCallsSealOneSubRecords(t *testing.T) {
+	rec := &netsim.Recorder{}
+	f := newFixture(t, rec, false)
 	if err := f.stub.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	handshake := len(rec.Messages())
+	const calls = 10
+	for i := 0; i < calls; i++ {
 		if _, err := f.clientSys.Deliver("client", core.Message{Op: "put", Data: []byte(fmt.Sprintf("k%d=v", i))}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	sent := map[string]int{}
+	for _, dg := range rec.Messages()[handshake:] {
+		sent[dg.From]++
+		if p := dg.Payload; len(p) < 3 || p[0] != CoalMagic || p[1] != 0 || p[2] != 1 {
+			t.Errorf("%s→%s record starts % x, want a coalesced record of one sub-frame", dg.From, dg.To, p[:min(len(p), 3)])
+		}
+	}
+	if sent["laptop"] != calls || sent["cloud"] != calls {
+		t.Errorf("records sent per side = %v, want %d each way", sent, calls)
 	}
 	st := f.stub.Stats()
 	if st.CoalescedRecords != 0 {
 		t.Errorf("sequential calls coalesced: %+v", st)
 	}
 	if st.Records != st.Issued {
-		t.Errorf("records = %d, want %d (one plain record per call)", st.Records, st.Issued)
+		t.Errorf("records = %d, want %d (one record per call)", st.Records, st.Issued)
 	}
 }

@@ -478,20 +478,19 @@ type sessState struct {
 	epoch  uint64 // config epoch the session was keyed at
 }
 
-// job is one unit of exporter work: a decrypted invocation, or a whole
-// coalesced record. buf is the pooled buffer behind raw, which req.Data
-// (or every sub-frame of a record) aliases, so the buffer is released only
-// after the reply has been sealed. A record's job has rec set: raw then
-// holds the record's cleartext header followed by its decrypted body, and
-// drop is the index of the sub-frame the fault hook removed, or -1.
+// job is one unit of exporter work: one opened request record. raw holds
+// the record's cleartext header followed by its decrypted body, and buf is
+// the pooled buffer behind it, which every sub-frame aliases, so the
+// buffer is released only after the reply has been sealed. drop is the
+// index of the sub-frame the fault hook removed, or -1; budgeted reports
+// that some sub-frame carries a budget, so the record needs a clock read.
 type job struct {
-	ss   *sessState
-	from string
-	req  Request
-	buf  *[]byte
-	raw  []byte
-	rec  bool
-	drop int
+	ss       *sessState
+	from     string
+	buf      *[]byte
+	raw      []byte
+	drop     int
+	budgeted bool
 }
 
 // jobPool recycles job structs across serveBatch passes. A pipelining
@@ -612,13 +611,13 @@ func (e *Exporter) evidence(transcript [32]byte) ([]byte, error) {
 
 // Serve processes every pending datagram on the endpoint once: handshake
 // flights establish sessions, record flights carry invocations. The
-// backlog is decrypted in arrival order and its jobs — one per plain
-// record, one per coalesced record — run inline when there are at most
-// smallBatch of them and across DefaultWorkers goroutines otherwise, with
-// all replies on the wire before Serve returns. A hostile or garbled
-// datagram is dropped without failing the service (fail closed per
-// connection), so Serve always returns nil. Tests and the examples call it
-// after each client step; a real deployment would loop it.
+// backlog is decrypted in arrival order and its jobs — one per record —
+// run inline when there are at most smallBatch of them and across
+// DefaultWorkers goroutines otherwise, with all replies on the wire before
+// Serve returns. A hostile or garbled datagram is dropped without failing
+// the service (fail closed per connection), so Serve always returns nil.
+// Tests and the examples call it after each client step; a real
+// deployment would loop it.
 func (e *Exporter) Serve() error {
 	for {
 		dg, ok := e.ep.Recv()
@@ -650,7 +649,16 @@ func (e *Exporter) serveBatch(first netsim.Datagram) {
 }
 
 // collect runs one datagram through the channel layer: handshake flights
-// complete inline, record flights decrypt and append their job to jobs.
+// complete inline, records decrypt and append their job to jobs. On an
+// established session the first byte tells a record from a handshake
+// flight (see coalesce.go). A datagram that is not a record is no record
+// for this session: a peer that crashed and restarted (or was failed over
+// away and healed) reconnects from the same endpoint with a fresh hello,
+// and that — and only that — is accepted as a session reset. Anything else
+// is dropped, so garbage costs no handshake attempt and cannot reset a
+// live session; a replayed captured hello can at worst force a reset — a
+// denial of service the attacker already has by dropping traffic — never
+// decrypt or forge records.
 func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
 	e.mu.Lock()
 	ss := e.sessions[dg.From]
@@ -662,16 +670,18 @@ func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
 		}
 	}
 	if IsCoalesced(dg.Payload) {
-		return e.openCoalesced(ss, dg, jobs)
+		return e.openRecord(ss, dg, jobs)
 	}
-	j := jobPool.Get().(*job)
-	ok, err := e.openRequest(ss, dg, j)
-	if err == nil && ok {
-		*jobs = append(*jobs, j)
-	} else {
-		jobPool.Put(j)
+	if !securechan.HelloShaped(dg.Payload) {
+		return fmt.Errorf("distributed: datagram from %s is neither a record nor a hello: %w", dg.From, ErrTransport)
 	}
-	return err
+	e.hsMu.Lock()
+	err := e.hello(dg)
+	e.hsMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("distributed: session reset from %s failed: %w", dg.From, err)
+	}
+	return nil
 }
 
 // handshake runs one handshake flight under hsMu: a client finish when a
@@ -708,7 +718,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 		// by core regardless), and it was the allocs/op bump pipelined
 		// benchmarks showed at modest depths.
 		for _, j := range jobs {
-			_ = e.execute(j)
+			_ = e.executeRecord(j)
 			*j = job{}
 			jobPool.Put(j)
 		}
@@ -727,7 +737,7 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 				defer wg.Done()
 				for i := w; i < len(jobs); i += n {
 					j := jobs[i]
-					_ = e.execute(j)
+					_ = e.executeRecord(j)
 					*j = job{}
 					jobPool.Put(j)
 				}
@@ -736,76 +746,6 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 		wg.Wait()
 	}
 	*jobsp = jobs[:0]
-}
-
-// openRequest decrypts and decodes one record on an established session.
-// It returns (false, nil) when the datagram was fully consumed at the
-// channel layer (a ping, or a hello that reset the session) and
-// (true, nil) with j filled when a component invocation awaits execution.
-func (e *Exporter) openRequest(ss *sessState, dg netsim.Datagram, j *job) (bool, error) {
-	ob := getBuf()
-	ss.openMu.Lock()
-	plain, err := ss.sess.OpenTo((*ob)[:0], dg.Payload)
-	ss.openMu.Unlock()
-	if err != nil {
-		putBuf(ob, nil)
-		// Not a record for this session. A peer that crashed and
-		// restarted (or was failed over away and healed) reconnects
-		// from the same endpoint with a fresh hello; accept that — and
-		// only that — as a session reset. Garbage or corrupted records
-		// are dropped with the decrypt failure preserved, so they cost
-		// no handshake attempt and cannot reset a live session; a
-		// replayed captured hello can at worst force a reset — a denial
-		// of service the attacker already has by dropping traffic —
-		// never decrypt or forge records.
-		if !securechan.HelloShaped(dg.Payload) {
-			return false, fmt.Errorf("distributed: undecryptable record from %s: %w", dg.From, err)
-		}
-		e.hsMu.Lock()
-		herr := e.hello(dg)
-		e.hsMu.Unlock()
-		if herr != nil {
-			return false, fmt.Errorf("distributed: session reset from %s failed: %v (record open: %w)", dg.From, herr, err)
-		}
-		return false, nil
-	}
-	dg.Release()
-	var req Request
-	if derr := decodeRequestInto(plain, &req, &e.ops); derr != nil {
-		putBuf(ob, plain)
-		return false, derr
-	}
-	if req.Op == PingOp {
-		// Liveness probe: answered by the channel layer itself, the
-		// component never runs.
-		err := e.reply(ss, dg.From, req.Corr, core.Message{Op: PongOp}, nil)
-		putBuf(ob, plain)
-		return false, err
-	}
-	j.ss, j.from, j.req, j.buf, j.raw = ss, dg.From, req, ob, plain
-	return true, nil
-}
-
-// execute runs one job and sends its sealed reply: a coalesced record
-// through executeRecord (see coalesce.go), a plain record's invocation
-// here. The request's pooled buffer is released only after the reply is
-// sealed, because the reply may alias the request data (an echo) or the
-// decrypted frame.
-func (e *Exporter) execute(j *job) error {
-	if j.rec {
-		return e.executeRecord(j)
-	}
-	var now time.Time
-	if j.req.Budget > 0 {
-		now = e.clock() // only a budget needs the anchor
-	}
-	msg, bb, herr := e.invoke(&j.req, now)
-	err := e.reply(j.ss, j.from, j.req.Corr, msg, herr)
-	if bb != nil {
-		putBuf(bb, msg.Data)
-	}
-	putBuf(j.buf, j.raw)
-	return err
 }
 
 // invoke runs one decoded request against the exported component, its
@@ -840,23 +780,6 @@ func (e *Exporter) invoke(req *Request, now time.Time) (msg core.Message, bb *[]
 	// judges the imported chain at its deliver boundary.
 	msg, err = e.sys.DeliverEnvelope(e.target, env)
 	return msg, nil, err
-}
-
-// reply seals and transmits one reply frame echoing the request's
-// correlation ID.
-func (e *Exporter) reply(ss *sessState, to string, corr uint64, msg core.Message, herr error) error {
-	fp := getBuf()
-	frame := appendReplyFrame((*fp)[:0], corr, msg, herr)
-	rp := getBuf()
-	ss.sendMu.Lock()
-	rec, err := ss.sess.SealTo((*rp)[:0], frame)
-	if err == nil {
-		err = e.ep.Send(to, rec)
-	}
-	ss.sendMu.Unlock()
-	putBuf(fp, frame)
-	putBuf(rp, rec)
-	return err
 }
 
 // complete finishes a pending handshake with the client's finish flight.
@@ -1088,7 +1011,7 @@ func (s *Stub) CompName() string { return s.name }
 // it speaks, so a fleet operator can spot a mixed-version rollout from
 // `lateralctl cluster` output (the version is part of the stub's measured
 // code identity, exactly like shipping a different proxy binary).
-func (s *Stub) CompVersion() string { return "stub-1.2+wire" + strconv.Itoa(WireVersion) }
+func (s *Stub) CompVersion() string { return "stub-1.3+wire" + strconv.Itoa(WireVersion) }
 
 // Init is a no-op; Connect establishes the channel.
 func (s *Stub) Init(*core.Ctx) error { return nil }
@@ -1365,9 +1288,9 @@ func (s *Stub) Handle(env core.Envelope) (core.Message, error) {
 	// Build the request frame into a pooled buffer and hand it to the
 	// coalescer: concurrent callers behind the flush leader share one
 	// sealed record (one AEAD pass for the lot), a lone caller seals a
-	// plain record. Seal and send errors — including this call's own —
-	// resolve through the waiters, so every outcome arrives on w.ch or is
-	// demuxed like any reply.
+	// record of one sub-frame. Seal and send errors — including this
+	// call's own — resolve through the waiters, so every outcome arrives
+	// on w.ch or is demuxed like any reply.
 	fp := getBuf()
 	frame := AppendRequest((*fp)[:0], Request{
 		Span:   env.Span,
@@ -1531,51 +1454,6 @@ func (s *Stub) drain(sess *securechan.Session, gen, ownCorr uint64) (res result,
 			return r, true, false, drained
 		}
 	}
-}
-
-// demux opens one record and routes the reply it carries. mine reports
-// that the reply resolved the receiver's own call (res is its verdict); a
-// non-nil error is a session-level failure the caller must escalate.
-func (s *Stub) demux(sess *securechan.Session, gen, ownCorr uint64, dg netsim.Datagram) (res result, mine bool, err error) {
-	if IsCoalesced(dg.Payload) {
-		return s.demuxCoalesced(sess, gen, ownCorr, dg)
-	}
-	ob := getBuf()
-	plain, oerr := sess.OpenTo((*ob)[:0], dg.Payload)
-	dg.Release()
-	if oerr != nil {
-		putBuf(ob, nil)
-		return result{}, false, oerr
-	}
-	if len(plain) < 9 {
-		putBuf(ob, plain)
-		return result{}, false, fmt.Errorf("short reply frame: %w", ErrTransport)
-	}
-	corr := binary.BigEndian.Uint64(plain)
-	res = s.decodeReply(plain[8:])
-	putBuf(ob, plain)
-
-	s.mu.Lock()
-	var w *waiter
-	if s.gen == gen {
-		if ww, ok := s.waiters[corr]; ok {
-			delete(s.waiters, corr)
-			w = ww
-		}
-	}
-	s.mu.Unlock()
-	if w == nil {
-		// Duplicate, unknown, or late (the caller already unwound on
-		// its deadline): drop and count, never misdeliver.
-		s.orphans.Add(1)
-		s.mon.StubOrphan(s.name)
-		return result{}, false, nil
-	}
-	if corr == ownCorr {
-		return res, true, nil
-	}
-	w.ch <- res
-	return result{}, false, nil
 }
 
 // decodeReply parses a reply frame body (after the correlation prefix).

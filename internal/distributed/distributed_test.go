@@ -1,7 +1,9 @@
 package distributed
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"lateral/internal/cryptoutil"
 	"lateral/internal/kernel"
 	"lateral/internal/netsim"
+	"lateral/internal/securechan"
 	"lateral/internal/sgx"
 )
 
@@ -366,30 +369,80 @@ func TestGarbledHelloDoesNotKillExporter(t *testing.T) {
 	}
 }
 
+// TestGarbageOnEstablishedSessionPreservesIt feeds the exporter datagrams
+// from an established peer's own address that are no record it can open.
+// Each must be dropped: collect returns an error, queues no job and sends
+// no reply, and the put it may carry never applies. The session must
+// survive it, so the peer's next genuine record still runs. A hello-shaped
+// datagram is the one exception, a session reset, which
+// TestCloseThenReconnect covers.
 func TestGarbageOnEstablishedSessionPreservesIt(t *testing.T) {
-	f := newFixture(t, nil, false)
-	if err := f.stub.Connect(); err != nil {
-		t.Fatal(err)
+	evil := AppendRequest(nil, Request{Corr: 9, Op: "put", Data: []byte("k=evil")})
+	cases := []struct {
+		name string
+		// datagram builds the input from the peer and the last record it
+		// sealed, a put of k=v1.
+		datagram func(t *testing.T, c *coalClient, last []byte) []byte
+		// want is the failure collect must report.
+		want error
+	}{
+		{"neither record nor hello", func(*testing.T, *coalClient, []byte) []byte {
+			return []byte("neither record nor hello")
+		}, ErrTransport},
+		{"record magic with count zero", func(*testing.T, *coalClient, []byte) []byte {
+			return append([]byte{CoalMagic, 0, 0}, make([]byte, 40)...)
+		}, ErrTransport},
+		{"record header over garbage ciphertext", func(*testing.T, *coalClient, []byte) []byte {
+			// The next sequence number, so the garbage reaches the AEAD open.
+			b := binary.BigEndian.AppendUint64(AppendCoalHeader(nil, []uint64{9}), 3)
+			return append(b, bytes.Repeat([]byte{0xA5}, 48)...)
+		}, cryptoutil.ErrAuth},
+		{"replay of the previous record", func(_ *testing.T, _ *coalClient, last []byte) []byte {
+			return last
+		}, securechan.ErrReplay},
+		{"plain record without a header", func(t *testing.T, c *coalClient, _ []byte) []byte {
+			rec, err := c.sess.SealTo(nil, evil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}, ErrTransport},
 	}
-	if _, err := f.clientSys.Deliver("client", core.Message{Op: "put", Data: []byte("k=v1")}); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	// Garbage from the client's own address is neither a decryptable record
-	// nor hello-shaped: it must be dropped with the decrypt failure kept —
-	// not treated as a session reset, which would burn a handshake attempt
-	// and kill the live session.
-	var jobs []*job
-	err := f.exporter.collect(netsim.Datagram{From: "laptop", To: "cloud", Payload: []byte("neither record nor hello")}, &jobs)
-	if err == nil || len(jobs) != 0 {
-		t.Fatalf("garbage on established session accepted: %v, %d jobs", err, len(jobs))
-	}
-	if !strings.Contains(err.Error(), "undecryptable record") {
-		t.Errorf("decrypt failure not preserved: %v", err)
-	}
-	// The session survived: the next record decrypts under the same keys.
-	reply, err := f.clientSys.Deliver("client", core.Message{Op: "get", Data: []byte("k")})
-	if err != nil || string(reply.Data) != "v1" {
-		t.Fatalf("session lost after garbage: %q, %v", reply.Data, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, nil, false)
+			c := newCoalClient(t, f, "peer")
+			if _, ok, err := c.call(t, []coalSub{{corr: 1, op: "put", data: []byte("k=v1")}}); err != nil || !ok {
+				t.Fatalf("put: serve = %v, replied = %v", err, ok)
+			}
+			last := c.last
+			// Move k on without a record, so a replayed put of k=v1 would show.
+			if _, err := f.cloudSys.Deliver("store", core.Message{Op: "put", Data: []byte("k=v2")}); err != nil {
+				t.Fatal(err)
+			}
+
+			var jobs []*job
+			err := f.exporter.collect(netsim.Datagram{From: "peer", To: "cloud", Payload: tc.datagram(t, c, last)}, &jobs)
+			if !errors.Is(err, tc.want) || len(jobs) != 0 {
+				t.Fatalf("collect = %v with %d jobs, want %v and none", err, len(jobs), tc.want)
+			}
+			if dg, ok := c.ep.Recv(); ok {
+				t.Fatalf("exporter answered a dropped datagram: % x", dg.Payload)
+			}
+
+			// The session survived, and nothing the datagram carried ran.
+			replies, ok, err := c.call(t, []coalSub{{corr: 2, op: "get", data: []byte("k")}})
+			if err != nil || !ok {
+				t.Fatalf("session lost: serve = %v, replied = %v", err, ok)
+			}
+			r := replies[2]
+			if len(r) == 0 || r[0] != statusOK {
+				t.Fatalf("get reply = % x, want statusOK", r)
+			}
+			if _, data, err := decodeCall(r[1:]); err != nil || string(data) != "v2" {
+				t.Fatalf("get k = %q, %v, want v2", data, err)
+			}
+		})
 	}
 }
 

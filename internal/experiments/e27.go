@@ -23,7 +23,8 @@ import (
 // The experiment runs depth 64 across an RTT sweep and checks balanced
 // books with coalescing engaged at every point, then verifies the headline
 // reduction at 1 ms: >= 8x fewer sealed records than the uncoalesced
-// wire, which seals one record per call (TestSequentialCallsStayPlain).
+// wire, which seals one record of one sub-frame per call
+// (TestSequentialCallsSealOneSubRecords).
 
 // e27Depth and e27Calls are the pipeline depth and workload size of every
 // E27 point.

@@ -4,11 +4,11 @@ package simtest
 // stub's frame coalescer lets concurrent callers share one sealed wire
 // record, so the books it keeps are the proof that sharing never loses or
 // duplicates a call: every issued call's request frame is sealed exactly
-// once (alone in a plain record or as one sub-frame of a coalesced
-// record), every coalesced record carries at least two sub-frames, and —
-// combined with the pipeline checker's Issued == Completed + Failed
-// equation — every sub-frame of a coalesced record completes exactly once
-// or its caller sees a typed error.
+// once (alone in a record of one sub-frame, or beside others in a record
+// the stub counts as coalesced), every record counted as coalesced
+// carries at least two sub-frames, and — combined with the pipeline
+// checker's Issued == Completed + Failed equation — every sub-frame of a
+// record completes exactly once or its caller sees a typed error.
 
 import (
 	"fmt"
@@ -17,9 +17,9 @@ import (
 )
 
 // CoalesceChecker audits the per-stub coalescing counters across the
-// fleet. Let plain = Records - CoalescedRecords; then the sub-frames the
-// stub ever sealed is subs = plain + CoalescedSubs, and at any quiescent
-// observation:
+// fleet. Let single = Records - CoalescedRecords, the records of one
+// sub-frame; then the sub-frames the stub ever sealed is
+// subs = single + CoalescedSubs, and at any quiescent observation:
 //
 //	Completed <= subs <= Issued
 //

@@ -63,7 +63,7 @@ type Harness struct {
 	sys  map[string]*core.System
 
 	// exps holds each replica's exporter so FaultCoalesce can arm the
-	// one-shot coalesced-record fault on the right server.
+	// one-shot record fault on the right server.
 	exps map[string]*distributed.Exporter
 
 	// Replica build inputs, kept so FaultJoin can construct a new attested
@@ -430,9 +430,10 @@ func (h *Harness) Apply(f Fault) bool {
 		h.Sharding.Settle(err == nil)
 		return err == nil
 	case FaultCoalesce:
-		// Arm the one-shot sub-frame fault on the target's exporter (mode
-		// rides in Peer: "drop" or "tamper"); an unknown name attacks
-		// nothing, so schedules stay safe to fuzz.
+		// Arm the one-shot sub-frame fault on the target's exporter for
+		// its next record of any size (mode rides in Peer: "drop" or
+		// "tamper"); an unknown name attacks nothing, so schedules stay
+		// safe to fuzz.
 		exp := h.exps[f.Target]
 		if exp == nil {
 			return false

@@ -73,11 +73,12 @@ const (
 	FaultShardMerge
 
 	// FaultCoalesce arms a one-shot coalesce fault on the target replica's
-	// exporter: the next coalesced record it opens has the sub-frame
-	// selected by N dropped from the reply (Peer carries mode "drop") or
-	// tampered before dispatch (mode "tamper"). Sibling sub-frames must be
-	// unaffected — the coalesce invariant and the affected caller's typed
-	// error are the assertions. Unknown replica names attack nothing.
+	// exporter: the next record it opens, of one sub-frame or more, has the
+	// sub-frame selected by N dropped from the reply (Peer carries mode
+	// "drop") or tampered before dispatch (mode "tamper"). Sibling
+	// sub-frames must be unaffected — the coalesce invariant and the
+	// affected caller's typed error are the assertions. Unknown replica
+	// names attack nothing.
 	FaultCoalesce
 )
 
