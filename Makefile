@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify fmt build vet test race-hotpath race cover bench bench-smoke bench-check bench-baseline experiments fuzz soak examples clean
+.PHONY: all verify fmt build vet test race-hotpath race cover bench bench-smoke bench-check experiments fuzz soak examples clean
 
 all: build vet test race-hotpath
 
@@ -75,17 +75,6 @@ bench-smoke:
 # here, so an API change that breaks the benchmark fails CI.
 bench-check:
 	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
-
-# Regenerate the checked-in baselines: E22 pipelining (BENCH_e22.json),
-# E23 sharded fleet (BENCH_e23.json), E26 rolling replace
-# (BENCH_e26.json), and E27 frame coalescing (BENCH_e27.json). Wire
-# rounds, frame/record counts, allocs/op, and epoch/healthy counts are
-# machine-independent; ops/sec and p99 are not.
-bench-baseline:
-	$(GO) run ./cmd/lateralbench -e22-json BENCH_e22.json
-	$(GO) run ./cmd/lateralbench -e23-json BENCH_e23.json
-	$(GO) run ./cmd/lateralbench -e26-json BENCH_e26.json
-	$(GO) run ./cmd/lateralbench -e27-json BENCH_e27.json
 
 # Short fuzzing pass over every parser that consumes attacker bytes.
 fuzz:

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lateral/internal/attack"
-	"lateral/internal/cluster"
 	"lateral/internal/core"
 	"lateral/internal/cryptoutil"
 	"lateral/internal/distributed"
@@ -592,7 +591,7 @@ func BenchmarkCall(b *testing.B) {
 // "record-event" is the cost of one journaled event itself: one canonical
 // encode plus one SHA-256 chain link.
 func BenchmarkJournalOverhead(b *testing.B) {
-	drive := func(b *testing.B, rec cluster.EventRecorder) {
+	drive := func(b *testing.B, rec core.EventRecorder) {
 		b.Helper()
 		d, err := experiments.BuildJournaledFleetDemo(2, 0, nil, rec)
 		if err != nil {

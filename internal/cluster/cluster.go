@@ -107,17 +107,6 @@ func (nopMonitor) ReplicaCall(string, string, bool)        {}
 func (nopMonitor) ReplicaRetry(string, string)             {}
 func (nopMonitor) ReplicaFailover(string, string)          {}
 
-// EventRecorder is the structural hook into the fleet's black box
-// (internal/journal): admission, health transitions, quarantine, and
-// failover become durable journal entries. Declared here rather than
-// imported, same as Monitor. Implementations must be safe for concurrent
-// use and must NOT call back into the Pool: state-transition events are
-// emitted while the pool's mutex is held, so journal order always equals
-// commit order.
-type EventRecorder interface {
-	RecordEvent(kind, actor, detail string, trace, span uint64)
-}
-
 // Replica is one fleet member.
 type Replica struct {
 	name     string
@@ -232,8 +221,10 @@ type Config struct {
 	// Journal, when set, receives trust-relevant fleet events (admission,
 	// health transitions, quarantine, failover) and is handed to each
 	// replica's stub for session lifecycle events. Nil leaves the fleet
-	// unjournaled.
-	Journal EventRecorder
+	// unjournaled. State-transition events are emitted while the pool's
+	// mutex is held, so journal order always equals commit order: the
+	// recorder must NOT call back into the Pool.
+	Journal core.EventRecorder
 }
 
 // ReplicaSpec describes one replica to admit.
@@ -550,7 +541,7 @@ func (p *Pool) DoDeadline(key string, msg core.Message, deadline time.Time) (cor
 	var reply core.Message
 	err := p.dispatch(key, deadline, func(r *Replica) error {
 		var cerr error
-		reply, cerr = p.callReplica(r, msg, deadline)
+		reply, cerr = r.stub.Handle(core.Envelope{Msg: msg, Deadline: deadline})
 		return cerr
 	})
 	if err != nil && !errors.Is(err, distributed.ErrRemote) && !errors.Is(err, core.ErrPolicy) {
@@ -568,17 +559,27 @@ func (p *Pool) DoDeadline(key string, msg core.Message, deadline time.Time) (cor
 // typed deadline handling, overload retried against a sibling. Once the
 // batch reached an attested replica, per-reading errors come back inside
 // results and never trigger failover — re-sending the frame elsewhere
-// would double-deliver the readings that succeeded. Results are appended
-// to the caller's slice (pass results[:0] to reuse its backing array);
-// on success it carries exactly one entry per reading, in order.
+// would double-deliver the readings that succeeded. A frame counts as one
+// call on the inflight gauge and call counters: the wire sees one record,
+// and that is what the balancer and drains account in. Results are
+// appended to the caller's slice (pass results[:0] to reuse its backing
+// array); on success it carries exactly one entry per reading, in order.
+//
+// A batch the codec cannot carry (distributed.ValidateBatch) is refused
+// before any replica is picked. The stub would refuse it too, but with an
+// error dispatch reads as a transport failure, and failing healthy
+// replicas over on the caller's malformed input would take the fleet down.
 func (p *Pool) DoBatch(key string, readings []distributed.Reading, results []distributed.BatchResult, deadline time.Time) ([]distributed.BatchResult, error) {
+	if err := distributed.ValidateBatch(readings); err != nil {
+		return results, err
+	}
 	base := len(results)
 	err := p.dispatch(key, deadline, func(r *Replica) error {
 		// A retried attempt replays the whole batch: drop any partial
 		// results a failed frame left behind.
 		results = results[:base]
 		var cerr error
-		results, cerr = p.callReplicaBatch(r, readings, results, deadline)
+		results, cerr = r.stub.HandleBatch(core.Envelope{Deadline: deadline}, readings, results)
 		return cerr
 	})
 	if err != nil {
@@ -590,8 +591,7 @@ func (p *Pool) DoBatch(key string, readings []distributed.Reading, results []dis
 // dispatch is the shared attempt loop under Do, DoDeadline, and DoBatch:
 // balancer pick, inflight charge, bounded failover, outage backoff, and
 // the typed-error routing documented on DoDeadline. call runs one attempt
-// against the picked replica and owns the inflight discharge (via
-// callReplica/callReplicaBatch).
+// against the picked replica's stub; dispatch keeps the books around it.
 func (p *Pool) dispatch(key string, deadline time.Time, call func(*Replica) error) error {
 	p.maybeCheck()
 	var lastErr error
@@ -654,7 +654,18 @@ func (p *Pool) dispatch(key string, deadline time.Time, call func(*Replica) erro
 			lastErr = fmt.Errorf("cluster %s: replica %s left dispatch mid-pick", p.cfg.Fleet, r.name)
 			continue
 		}
+		// Calls pipeline: the stub multiplexes concurrent requests over the
+		// replica's one attested session, so nothing serializes here and the
+		// gauge reports true concurrent depth — the load LeastInflight
+		// balances on. The attempt is discharged and counted as it returns.
 		err := call(r)
+		r.inflight.Add(-1)
+		p.cfg.Monitor.ReplicaInflight(p.cfg.Fleet, r.name, -1)
+		r.calls.Add(1)
+		if err != nil {
+			r.errors.Add(1)
+		}
+		p.cfg.Monitor.ReplicaCall(p.cfg.Fleet, r.name, err != nil)
 		if err == nil {
 			return nil
 		}
@@ -683,44 +694,6 @@ func (p *Pool) dispatch(key string, deadline time.Time, call func(*Replica) erro
 		}
 	}
 	return fmt.Errorf("%w (%d): %v", ErrExhausted, p.cfg.MaxAttempts, lastErr)
-}
-
-// callReplica runs one request/reply against one replica, maintaining the
-// call counters. The caller has already charged the inflight gauge under
-// p.mu at pick time (the drain happens-before edge); this function owns
-// the discharge. Calls pipeline: the stub multiplexes any number of
-// concurrent requests over the replica's one attested session
-// (correlation IDs match the replies), so nothing serializes here and the
-// inflight gauge reports true concurrent depth — exactly the load
-// LeastInflight balances on. The deadline rides on the envelope; the stub
-// turns it into the wire budget (and refuses to transmit if it expired
-// before dispatch).
-func (p *Pool) callReplica(r *Replica, msg core.Message, deadline time.Time) (core.Message, error) {
-	reply, err := r.stub.Handle(core.Envelope{Msg: msg, Deadline: deadline})
-	r.inflight.Add(-1)
-	p.cfg.Monitor.ReplicaInflight(p.cfg.Fleet, r.name, -1)
-	r.calls.Add(1)
-	if err != nil {
-		r.errors.Add(1)
-	}
-	p.cfg.Monitor.ReplicaCall(p.cfg.Fleet, r.name, err != nil)
-	return reply, err
-}
-
-// callReplicaBatch is callReplica for one batched-ingestion frame: one
-// sealed request/reply round against one replica, counted as one call on
-// the inflight gauge and call counters (the wire sees one record, and
-// that is what the balancer and drains account in).
-func (p *Pool) callReplicaBatch(r *Replica, readings []distributed.Reading, results []distributed.BatchResult, deadline time.Time) ([]distributed.BatchResult, error) {
-	results, err := r.stub.HandleBatch(core.Envelope{Deadline: deadline}, readings, results)
-	r.inflight.Add(-1)
-	p.cfg.Monitor.ReplicaInflight(p.cfg.Fleet, r.name, -1)
-	r.calls.Add(1)
-	if err != nil {
-		r.errors.Add(1)
-	}
-	p.cfg.Monitor.ReplicaCall(p.cfg.Fleet, r.name, err != nil)
-	return results, err
 }
 
 // backoff computes the nth consecutive outage delay: BackoffBase doubling

@@ -813,6 +813,112 @@ func (j *journalCounter) count(kind, actor string) int {
 	return j.counts[kind+"|"+actor]
 }
 
+// total is the number of events recorded so far, of every kind.
+func (j *journalCounter) total() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := 0
+	for _, c := range j.counts {
+		n += c
+	}
+	return n
+}
+
+// TestMalformedBatchRefusedBeforeDispatch: a batch the codec cannot carry
+// is the caller's error, not the channel's. DoBatch refuses it before any
+// pick, so no healthy replica is charged, failed over, marked down or
+// journaled for it.
+func TestMalformedBatchRefusedBeforeDispatch(t *testing.T) {
+	jc := &journalCounter{}
+	f := newFleet(t, 2, nil, func(c *Config) { c.Journal = jc })
+	journaled := jc.total()
+	for _, tc := range []struct {
+		name  string
+		batch []distributed.Reading
+	}{
+		{"nil batch", nil},
+		{"reserved op", []distributed.Reading{{Op: distributed.PingOp, Data: []byte("m")}}},
+	} {
+		if _, err := f.pool.DoBatch("k", tc.batch, nil, time.Time{}); !errors.Is(err, distributed.ErrTransport) {
+			t.Errorf("%s: err = %v, want ErrTransport", tc.name, err)
+		}
+	}
+	if got := f.pool.Healthy(); got != 2 {
+		t.Errorf("healthy = %d after malformed batches, want 2", got)
+	}
+	for _, ri := range f.pool.Replicas() {
+		if ri.Calls != 0 || ri.Failovers != 0 {
+			t.Errorf("%s calls=%d failovers=%d, want 0/0", ri.Name, ri.Calls, ri.Failovers)
+		}
+	}
+	if n := jc.total() - journaled; n != 0 {
+		t.Errorf("%d events journaled for malformed batches, want 0", n)
+	}
+}
+
+// TestDispatchBooksEveryAttempt pins dispatch's per-attempt bookkeeping,
+// the same for a single call and a batch frame: each attempt is discharged
+// from the inflight gauge as it returns and counted once as a call, and
+// once more as an error when it failed.
+func TestDispatchBooksEveryAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch bool
+		op    string
+		// isolate crashes anon-1, which the balancer picks first, so the
+		// call fails over to anon-2 on a transport failure.
+		isolate          bool
+		want             error
+		attempts, failed int64
+	}{
+		{"Do success", false, "bump", false, nil, 1, 0},
+		{"Do remote refusal", false, "no-such-op", false, distributed.ErrRemote, 1, 1},
+		{"Do failover", false, "bump", true, nil, 2, 1},
+		{"DoBatch success", true, "bump", false, nil, 1, 0},
+		// A refused reading rides a frame that succeeded: the refusal comes
+		// back in the results, and the attempt is no error.
+		{"DoBatch remote refusal", true, "no-such-op", false, distributed.ErrRemote, 1, 0},
+		{"DoBatch failover", true, "bump", true, nil, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 2, nil, func(c *Config) {
+				c.Balancer = &scriptedBalancer{names: []string{"anon-1", "anon-2"}}
+			})
+			books := func() (calls, errs int64) {
+				for _, ri := range f.pool.Replicas() {
+					if ri.Inflight != 0 {
+						t.Errorf("%s inflight = %d, want 0", ri.Name, ri.Inflight)
+					}
+					calls += ri.Calls
+					errs += ri.Errors
+				}
+				return calls, errs
+			}
+			calls0, errs0 := books()
+			if tc.isolate {
+				f.part.Isolate("anon-1")
+			}
+			var err error
+			if tc.batch {
+				var res []distributed.BatchResult
+				res, err = f.pool.DoBatch("k", []distributed.Reading{{Op: tc.op, Data: []byte("k")}}, nil, time.Time{})
+				if err == nil {
+					err = res[0].Err
+				}
+			} else {
+				_, err = f.pool.Do("k", core.Message{Op: tc.op, Data: []byte("k")})
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			calls, errs := books()
+			if calls-calls0 != tc.attempts || errs-errs0 != tc.failed {
+				t.Errorf("calls +%d errors +%d, want +%d/+%d", calls-calls0, errs-errs0, tc.attempts, tc.failed)
+			}
+		})
+	}
+}
+
 // targetTamperer flips a byte in every payload the target endpoint sends —
 // the on-path integrity attack that makes re-attestation refuse a replica.
 type targetTamperer struct{ target string }

@@ -6,7 +6,8 @@ package core
 // carrying the causing request's trace/span IDs. Declared here rather
 // than imported so core stays dependency-free and *journal.Journal (or
 // any test double) satisfies it structurally, the same discipline as
-// Tracer and the cluster/netsim Monitor interfaces.
+// Tracer and the cluster/netsim Monitor interfaces. cluster, distributed,
+// shard and policy take this same interface for their journal hooks.
 //
 // Implementations must be safe for concurrent use and must not call back
 // into the System. A nil recorder is the fast path: events are only

@@ -87,7 +87,7 @@ func AppendBatch(dst []byte, readings []Reading) []byte {
 // EncodeBatch validates the readings against the codec bounds and builds
 // the batch payload.
 func EncodeBatch(readings []Reading) ([]byte, error) {
-	if err := validateReadings(readings); err != nil {
+	if err := ValidateBatch(readings); err != nil {
 		return nil, err
 	}
 	size := 2
@@ -97,7 +97,13 @@ func EncodeBatch(readings []Reading) ([]byte, error) {
 	return AppendBatch(make([]byte, 0, size), readings), nil
 }
 
-func validateReadings(readings []Reading) error {
+// ValidateBatch checks readings against the codec bounds: 1 to
+// MaxBatchReadings readings, each op and data at most 0xffff bytes, and no
+// op starting with NUL (reserved for the wire's own ops, PingOp and
+// BatchOp). The error wraps ErrTransport, as every codec refusal does, so
+// a caller that reads ErrTransport as a channel failure must run this
+// first: a malformed batch says nothing about the channel.
+func ValidateBatch(readings []Reading) error {
 	if len(readings) == 0 {
 		return fmt.Errorf("empty batch: %w", ErrTransport)
 	}
@@ -296,7 +302,7 @@ func appendBatchEntry(dst []byte, msg core.Message, herr error) []byte {
 // otherwise results carries exactly one entry per reading, in order, with
 // per-reading errors rehydrated to their typed forms.
 func (s *Stub) HandleBatch(env core.Envelope, readings []Reading, results []BatchResult) ([]BatchResult, error) {
-	if err := validateReadings(readings); err != nil {
+	if err := ValidateBatch(readings); err != nil {
 		return results, err
 	}
 	bp := getBuf()

@@ -496,7 +496,7 @@ type job struct {
 // jobPool recycles job structs across serveBatch passes. A pipelining
 // client lands one job per in-flight call per wire round; without the
 // pool each of those was a fresh heap allocation, which is exactly the
-// allocs/op regression BENCH_e22.json showed growing with pipeline depth.
+// allocs/op growth with pipeline depth that E22's allocs/op caps catch.
 var jobPool = sync.Pool{New: func() any { return new(job) }}
 
 // batchPool recycles the per-batch job slice (capacity included), so a
@@ -954,7 +954,7 @@ type StubConfig struct {
 	// or channel failure). Actor labels the events; it defaults to
 	// RemoteEndpoint, and a pool admitting the stub sets it to the
 	// replica's fleet/name.
-	Journal EventRecorder
+	Journal core.EventRecorder
 	Actor   string
 
 	// Epoch, when set, supplies the fleet config epoch each handshake is
@@ -963,13 +963,6 @@ type StubConfig struct {
 	// epoch so reconnects always bind the epoch in force at that moment.
 	// Nil (or a 0 return) keeps the pre-epoch wire format.
 	Epoch func() uint64
-}
-
-// EventRecorder is the structural journal hook (see internal/journal),
-// declared here rather than imported — the same pattern as Monitor.
-// Implementations must be safe for concurrent use.
-type EventRecorder interface {
-	RecordEvent(kind, actor, detail string, trace, span uint64)
 }
 
 // NewStub validates the config.

@@ -71,7 +71,7 @@ type FleetDemo struct {
 	exporters map[string]*distributed.Exporter
 	vendor    *cryptoutil.Signer
 	meas      [32]byte
-	rec       cluster.EventRecorder
+	rec       core.EventRecorder
 }
 
 // BuildFleetDemo deploys an anonymizer fleet of n replicas named
@@ -88,7 +88,7 @@ func BuildFleetDemo(n, tamperedIdx int, mon cluster.Monitor) (*FleetDemo, error)
 // secure-channel session event from the pool, plus every deadline,
 // overload, and cancel shed inside each replica system (E24, lateralctl
 // events/audit). A nil rec is the journal-off fast path.
-func BuildJournaledFleetDemo(n, tamperedIdx int, mon cluster.Monitor, rec cluster.EventRecorder) (*FleetDemo, error) {
+func BuildJournaledFleetDemo(n, tamperedIdx int, mon cluster.Monitor, rec core.EventRecorder) (*FleetDemo, error) {
 	net := netsim.New()
 	part := netsim.NewPartitioner()
 	net.SetAdversary(part)

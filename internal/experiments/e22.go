@@ -27,12 +27,11 @@ func (e22Echo) Handle(env core.Envelope) (core.Message, error) {
 	return core.Message{Op: "ok", Data: env.Msg.Data}, nil
 }
 
-// e22Result is one depth's measurement: wire rounds consumed, wall-clock
-// time and heap allocations of the call phase (handshake excluded), and
-// the stub's accounting snapshot.
+// e22Result is one depth's measurement: wire rounds consumed and heap
+// allocations of the call phase (handshake excluded), and the stub's
+// accounting snapshot.
 type e22Result struct {
 	pumps   int64
-	elapsed time.Duration
 	mallocs uint64
 	stats   distributed.StubStats
 }
@@ -106,7 +105,6 @@ func e22Run(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Re
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
 
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -129,7 +127,6 @@ func e22Run(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Re
 	}
 	wg.Wait()
 
-	res.elapsed = time.Since(start)
 	runtime.ReadMemStats(&after)
 	res.mallocs = after.Mallocs - before.Mallocs
 
@@ -158,7 +155,7 @@ func E22Pipelining() (Table, error) {
 		Header: []string{"depth", "calls", "rounds", "calls/round", "allocs/op", "verdict"},
 	}
 
-	const calls = 64
+	const calls = 256
 	const rtt = time.Millisecond
 	rounds := make(map[int]int64)
 	for _, depth := range []int{1, 4, 16, 64} {
@@ -171,7 +168,7 @@ func E22Pipelining() (Table, error) {
 		allocs := float64(r.mallocs) / float64(calls)
 		balanced := st.Issued == st.Completed+st.Failed &&
 			st.Failed == 0 && st.Inflight == 0 && st.Orphans == 0 &&
-			allocs <= e22AllocCap(depth, calls)
+			allocs <= e22AllocCap(depth)
 		t.AddRow(depth, calls, r.pumps, float64(calls)/float64(r.pumps),
 			fmt.Sprintf("%.2f", allocs), passFail(balanced))
 	}
@@ -193,60 +190,8 @@ func E22Pipelining() (Table, error) {
 // stray per-ID waiter or job allocation shows up as +1 or more at every
 // depth. Allocations are whole-process mallocs over the call phase, so
 // per-batch fixed costs (driver goroutines, pump accounting) amortize
-// over the call count: the short pipelining sweep (calls=64) gets looser
-// caps than the checked-in calls=256 baseline, whose steady state runs
-// about 2.3-5.2 allocs/op across the depth sweep.
-func e22AllocCap(depth, calls int) float64 {
-	caps := map[int]float64{1: 5, 4: 6, 16: 9, 64: 18}
-	if calls >= 256 {
-		caps = map[int]float64{1: 4.5, 4: 4.5, 16: 5.5, 64: 6}
-	}
-	if c, ok := caps[depth]; ok {
-		return c
-	}
-	return 18
-}
-
-// E22Depth is one row of the checked-in BENCH_e22.json baseline: the wire
-// economics and allocation cost of the depth sweep, for tracking the
-// pipelining trajectory across changes.
-type E22Depth struct {
-	Depth         int     `json:"depth"`
-	Calls         int     `json:"calls"`
-	WireRounds    int64   `json:"wire_rounds"`
-	CallsPerRound float64 `json:"calls_per_round"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-}
-
-// E22Baseline runs the E22 depth sweep and returns one baseline row per
-// depth. `lateralbench -e22-json` writes the result to BENCH_e22.json;
-// wire rounds and allocs/op are deterministic, ops/sec is wall-clock and
-// machine-dependent (it is a trajectory, not a gate). Allocations are
-// whole-process mallocs over the call phase divided by calls, so goroutine
-// spawns and accounting noise show up as fractions — near-zero means the
-// sealed-record hot path itself is allocation-free.
-func E22Baseline() ([]E22Depth, error) {
-	const calls = 256
-	const rtt = time.Millisecond
-	out := make([]E22Depth, 0, 4)
-	for _, depth := range []int{1, 4, 16, 64} {
-		r, err := e22Run(depth, calls, rtt, nil)
-		if err != nil {
-			return nil, err
-		}
-		if a := float64(r.mallocs) / float64(calls); a > e22AllocCap(depth, calls) {
-			return nil, fmt.Errorf("E22: %.2f allocs/op at depth %d exceeds regression cap %.2f",
-				a, depth, e22AllocCap(depth, calls))
-		}
-		out = append(out, E22Depth{
-			Depth:         depth,
-			Calls:         calls,
-			WireRounds:    r.pumps,
-			CallsPerRound: float64(calls) / float64(r.pumps),
-			OpsPerSec:     float64(calls) / r.elapsed.Seconds(),
-			AllocsPerOp:   float64(r.mallocs) / float64(calls),
-		})
-	}
-	return out, nil
+// over the 256 calls; the steady state runs about 2.3-5.2 allocs/op
+// across the depth sweep.
+func e22AllocCap(depth int) float64 {
+	return map[int]float64{1: 4.5, 4: 4.5, 16: 5.5, 64: 6}[depth]
 }

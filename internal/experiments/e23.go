@@ -44,28 +44,26 @@ type e23Fabric struct {
 
 func e23Cell(i int) string { return fmt.Sprintf("cell-%02d", i) }
 
-// buildE23Fabric stands up a fabric of n shard cells. quota bounds one
-// tenant's in-flight readings across the whole fabric (0 = unbounded);
-// journaled selects whether placement transitions are black-boxed.
-func buildE23Fabric(n, quota int, journaled bool) (*e23Fabric, error) {
-	f := &e23Fabric{Demos: make(map[string]*FleetDemo, n)}
-	cfg := shard.Config{Fleet: "e23", TenantQuota: quota}
-	if journaled {
-		f.Signer = cryptoutil.NewSigner("e23-auditor")
-		f.Counter = &journal.MemCounter{}
-		jnl, err := journal.New(journal.Config{
-			Name:            "e23",
-			Signer:          f.Signer,
-			Counter:         f.Counter,
-			CheckpointEvery: -1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.Jnl = jnl
-		cfg.Journal = jnl
+// buildE23Fabric stands up a fabric of n shard cells with its placement
+// transitions journaled. quota bounds one tenant's in-flight readings
+// across the whole fabric.
+func buildE23Fabric(n, quota int) (*e23Fabric, error) {
+	f := &e23Fabric{
+		Demos:   make(map[string]*FleetDemo, n),
+		Signer:  cryptoutil.NewSigner("e23-auditor"),
+		Counter: &journal.MemCounter{},
 	}
-	f.Router = shard.NewRouter(cfg)
+	jnl, err := journal.New(journal.Config{
+		Name:            "e23",
+		Signer:          f.Signer,
+		Counter:         f.Counter,
+		CheckpointEvery: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	f.Jnl = jnl
+	f.Router = shard.NewRouter(shard.Config{Fleet: "e23", TenantQuota: quota, Journal: jnl})
 	for i := 0; i < n; i++ {
 		if err := f.Grow(e23Cell(i)); err != nil {
 			return nil, err
@@ -117,8 +115,8 @@ func (r *e23Run) P99() time.Duration {
 // simulated clients through the router in batch-sized frames. All
 // readings in a frame belong to one tenant and share the frame's routing
 // key, so the whole frame crosses the secure channel in a single AEAD
-// pass and lands on one shard. chaos, when set, runs before each frame —
-// the hook the rebalance-mid-stream scenario uses.
+// pass and lands on one shard. chaos runs before each frame — the hook
+// the rebalance-mid-stream scenario uses.
 func e23Drive(rt *shard.Router, tenants, metersPerTenant, batch int, chaos func(frame int) error) (*e23Run, error) {
 	run := &e23Run{}
 	readings := make([]distributed.Reading, batch)
@@ -128,10 +126,8 @@ func e23Drive(rt *shard.Router, tenants, metersPerTenant, batch int, chaos func(
 	for t := 0; t < tenants; t++ {
 		tenant := fmt.Sprintf("t%02d", t)
 		for m := 0; m < metersPerTenant; m += batch {
-			if chaos != nil {
-				if err := chaos(frame); err != nil {
-					return nil, fmt.Errorf("e23 chaos at frame %d: %w", frame, err)
-				}
+			if err := chaos(frame); err != nil {
+				return nil, fmt.Errorf("e23 chaos at frame %d: %w", frame, err)
 			}
 			n := batch
 			if m+n > metersPerTenant {
@@ -218,7 +214,7 @@ func E23Sharding() (Table, error) {
 
 	// Quota: well above one frame (sequential dispatch keeps a tenant's
 	// in-flight at one frame), far below the abusive burst tried later.
-	f, err := buildE23Fabric(e23Shards, 2*e23Batch, true)
+	f, err := buildE23Fabric(e23Shards, 2*e23Batch)
 	if err != nil {
 		return t, err
 	}
@@ -323,63 +319,8 @@ func E23Sharding() (Table, error) {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d tenants × %d meters = %d simulated clients, one reading each, %d-reading sealed frames keyed by tenant/block", e23Tenants, metersPerTenant, total, e23Batch),
-		fmt.Sprintf("wall-clock: %.1fs end to end, p99 frame latency %.2fms (machine-dependent; BENCH_e23.json holds the curve)", run.Elapsed.Seconds(), float64(run.P99().Microseconds())/1e3),
+		fmt.Sprintf("wall-clock: %.1fs end to end, p99 frame latency %.2fms (machine-dependent)", run.Elapsed.Seconds(), float64(run.P99().Microseconds())/1e3),
 		"loss accounting is server-side: each shard cell's per-meter counts are attributed back to tenants, so a reading dropped or duplicated during the rebalance cannot hide",
 	)
 	return t, nil
-}
-
-// E23Point is one row of the checked-in BENCH_e23.json baseline: the
-// clients-vs-latency/throughput curve of the sharded fabric at a fixed
-// shard count and batch size. Frame/acceptance counts are deterministic;
-// p99 and throughput are wall-clock (a trajectory, not a gate).
-type E23Point struct {
-	Clients    int     `json:"clients"`
-	Shards     int     `json:"shards"`
-	Batch      int     `json:"batch"`
-	Frames     int     `json:"frames"`
-	Accepted   int     `json:"accepted"`
-	Lost       int     `json:"lost"`
-	P99Millis  float64 `json:"p99_ms"`
-	Throughput float64 `json:"readings_per_sec"`
-}
-
-// E23Baseline drives the fabric at rising client populations — 64k to
-// the full million — and records the curve `lateralbench -e23-json`
-// checks in as BENCH_e23.json.
-func E23Baseline() ([]E23Point, error) {
-	out := make([]E23Point, 0, 3)
-	for _, clients := range []int{65536, 262144, 1048576} {
-		f, err := buildE23Fabric(e23Shards, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		metersPerTenant := clients / e23Tenants
-		run, err := e23Drive(f.Router, e23Tenants, metersPerTenant, e23Batch, nil)
-		if err != nil {
-			return nil, err
-		}
-		lost, err := f.lostPerTenant(e23Tenants, metersPerTenant)
-		if err != nil {
-			return nil, err
-		}
-		totalLost := 0
-		for _, n := range lost {
-			totalLost += n
-		}
-		if totalLost != 0 {
-			return nil, fmt.Errorf("e23 baseline: %d readings lost at %d clients", totalLost, clients)
-		}
-		out = append(out, E23Point{
-			Clients:    clients,
-			Shards:     e23Shards,
-			Batch:      e23Batch,
-			Frames:     run.Frames,
-			Accepted:   run.Accepted,
-			Lost:       totalLost,
-			P99Millis:  float64(run.P99().Microseconds()) / 1e3,
-			Throughput: float64(run.Accepted) / run.Elapsed.Seconds(),
-		})
-	}
-	return out, nil
 }

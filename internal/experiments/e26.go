@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"lateral/internal/core"
 	"lateral/internal/cryptoutil"
@@ -150,81 +149,4 @@ func E26Rolling() (Table, error) {
 		"loss counted per meter across original and replacement members, so failover duplicates cannot mask a lost reading",
 	)
 	return t, nil
-}
-
-// E26Phase is one row of the checked-in BENCH_e26.json baseline: the
-// fleet's wall-clock throughput through each phase of a rolling replace —
-// the dip while a transition drains and rekeys, and the recovery after.
-type E26Phase struct {
-	Phase     string  `json:"phase"`
-	Readings  int     `json:"readings"`
-	Accepted  int     `json:"accepted"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Epoch     uint64  `json:"epoch"`
-	Healthy   int     `json:"healthy"`
-}
-
-// E26Baseline drives the rolling replace phase by phase and times each
-// one: steady state on the original fleet, four transition phases (the
-// epoch work — drain, re-attest, rekey — is inside the timed window, so
-// the dip is visible), and steady state on the replacement fleet.
-// `lateralbench -e26-json` writes the result to BENCH_e26.json; ops/sec
-// is wall-clock and machine-dependent (a trajectory, not a gate). Any
-// lost reading is an error.
-func E26Baseline() ([]E26Phase, error) {
-	d, err := BuildFleetDemo(3, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	phases := []struct {
-		name       string
-		transition func() error
-	}{
-		{"steady-3", nil},
-		{"join anon-4", func() error { return d.Join("anon-4") }},
-		{"leave anon-1", func() error { return d.Pool.Leave("anon-1") }},
-		{"join anon-5", func() error { return d.Join("anon-5") }},
-		{"leave anon-2", func() error { return d.Pool.Leave("anon-2") }},
-		{"steady-post", nil},
-	}
-	const meters, rounds = 40, 2
-	perPhase := meters * rounds
-	sent := make(map[string]int, meters)
-	out := make([]E26Phase, 0, len(phases))
-	for _, ph := range phases {
-		start := time.Now()
-		if ph.transition != nil {
-			if err := ph.transition(); err != nil {
-				return nil, fmt.Errorf("e26 baseline: %s: %w", ph.name, err)
-			}
-		}
-		accepted := 0
-		for r := 0; r < rounds; r++ {
-			for m := 0; m < meters; m++ {
-				name := fmt.Sprintf("meter-%03d", m)
-				if err := d.Send(name, 1+(m+r)%9); err == nil {
-					accepted++
-					sent[name]++
-				}
-			}
-		}
-		out = append(out, E26Phase{
-			Phase:     ph.name,
-			Readings:  perPhase,
-			Accepted:  accepted,
-			OpsPerSec: float64(accepted) / time.Since(start).Seconds(),
-			Epoch:     d.Pool.Epoch(),
-			Healthy:   d.Pool.Healthy(),
-		})
-	}
-	lost := 0
-	for name, n := range sent {
-		if p := d.ProcessedByMeter(name); p < n {
-			lost += n - p
-		}
-	}
-	if lost != 0 {
-		return nil, fmt.Errorf("e26 baseline: %d accepted readings lost across the rolling replace", lost)
-	}
-	return out, nil
 }

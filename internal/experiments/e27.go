@@ -71,13 +71,15 @@ func e27SubsPerRecord(st distributed.StubStats) float64 {
 }
 
 // E27Coalescing measures what sharing sealed records buys over plain
-// wire-v3 pipelining across an RTT sweep.
+// wire-v3 pipelining across an RTT sweep. allocs/op (whole-process
+// mallocs over the 256 calls) is reported, not gated: the sealed-record
+// hot path's allocation gate is TestCoalescedZeroAllocPerSubFrame.
 func E27Coalescing() (Table, error) {
 	t := Table{
 		ID:     "E27",
 		Title:  "wire-level frame coalescing",
 		Anchor: "§III-B trustworthy invocation across machines; cost of attested channels at scale",
-		Header: []string{"rtt", "depth", "records", "subs/rec", "rounds", "p99", "verdict"},
+		Header: []string{"rtt", "depth", "records", "subs/rec", "rounds", "p99", "allocs/op", "verdict"},
 	}
 
 	var records uint64
@@ -91,14 +93,15 @@ func E27Coalescing() (Table, error) {
 			records = st.Records
 		}
 		t.AddRow(rtt.String(), e27Depth, st.Records, fmt.Sprintf("%.2f", e27SubsPerRecord(st)),
-			s.res.pumps, s.p99.Round(10*time.Microsecond), passFail(e27Balanced(st)))
+			s.res.pumps, s.p99.Round(10*time.Microsecond),
+			fmt.Sprintf("%.2f", float64(s.res.mallocs)/e27Calls), passFail(e27Balanced(st)))
 	}
 
 	// The headline claim: at 64 concurrent callers and 1 ms, coalescing
 	// seals at least 8x fewer records — 8x fewer AEAD passes on the
 	// request path — than the uncoalesced wire's one per call.
 	reduction := float64(e27Calls) / float64(records)
-	t.AddRow("1ms vs 1/call", e27Depth, "-", "-", "-", "-", passFail(reduction >= 8))
+	t.AddRow("1ms vs 1/call", e27Depth, "-", "-", "-", "-", "-", passFail(reduction >= 8))
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("AEAD passes on the request path at 1ms: %d uncoalesced vs %d coalesced (%.1fx fewer)",
@@ -106,49 +109,4 @@ func E27Coalescing() (Table, error) {
 		"records exclude the handshake; the coalesced header binds count + every correlation ID as AD",
 	)
 	return t, nil
-}
-
-// E27Point is one row of the checked-in BENCH_e27.json baseline: one RTT
-// point at depth 64 — sealed records (AEAD passes), sub-frames per
-// coalesced record, wire rounds, throughput, p99, and allocations.
-// Records, rounds, and allocs/op are machine-independent; ops/sec and p99
-// are wall-clock.
-type E27Point struct {
-	RTTMicros     int64   `json:"rtt_us"`
-	Depth         int     `json:"depth"`
-	Calls         int     `json:"calls"`
-	SealedRecords uint64  `json:"sealed_records"`
-	SubsPerRecord float64 `json:"subs_per_record"`
-	WireRounds    int64   `json:"wire_rounds"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	P99Micros     float64 `json:"p99_us"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
-}
-
-// E27Baseline runs the RTT sweep and returns one baseline point per RTT.
-// `lateralbench -e27-json` writes BENCH_e27.json.
-func E27Baseline() ([]E27Point, error) {
-	out := make([]E27Point, 0, len(e27RTTs))
-	for _, rtt := range e27RTTs {
-		s, err := e27Run(rtt)
-		if err != nil {
-			return nil, err
-		}
-		st := s.res.stats
-		if !e27Balanced(st) {
-			return nil, fmt.Errorf("E27: unbalanced books at rtt %s: %+v", rtt, st)
-		}
-		out = append(out, E27Point{
-			RTTMicros:     rtt.Microseconds(),
-			Depth:         e27Depth,
-			Calls:         e27Calls,
-			SealedRecords: st.Records,
-			SubsPerRecord: e27SubsPerRecord(st),
-			WireRounds:    s.res.pumps,
-			OpsPerSec:     float64(e27Calls) / s.res.elapsed.Seconds(),
-			P99Micros:     float64(s.p99.Microseconds()),
-			AllocsPerOp:   float64(s.res.mallocs) / float64(e27Calls),
-		})
-	}
-	return out, nil
 }

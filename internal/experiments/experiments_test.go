@@ -570,31 +570,6 @@ func TestE23ShardedFleet(t *testing.T) {
 	}
 }
 
-func TestE23BaselineCurve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full million-client curve skipped in -short")
-	}
-	points, err := E23Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
-	}
-	last := points[len(points)-1]
-	if last.Clients != 1048576 || last.Accepted != last.Clients || last.Lost != 0 {
-		t.Fatalf("million-client point = %+v", last)
-	}
-	for _, p := range points {
-		if p.Frames != p.Clients/p.Batch {
-			t.Errorf("%d clients: %d frames, want %d", p.Clients, p.Frames, p.Clients/p.Batch)
-		}
-		if p.Throughput <= 0 || p.P99Millis <= 0 {
-			t.Errorf("%d clients: non-positive timing %+v", p.Clients, p)
-		}
-	}
-}
-
 func TestE24AuditorReplayAndTamperEvidence(t *testing.T) {
 	tab, err := E24Audit()
 	if err != nil {
@@ -656,25 +631,6 @@ func TestE26RollingReplace(t *testing.T) {
 	}
 }
 
-func TestE26BaselinePhases(t *testing.T) {
-	phases, err := E26Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != 6 {
-		t.Fatalf("phases = %d, want 6", len(phases))
-	}
-	last := phases[len(phases)-1]
-	if last.Epoch != 4 || last.Healthy != 3 {
-		t.Fatalf("post-replace fleet at epoch %d with %d healthy, want 4/3", last.Epoch, last.Healthy)
-	}
-	for _, p := range phases {
-		if p.Accepted != p.Readings {
-			t.Errorf("phase %s accepted %d of %d readings", p.Phase, p.Accepted, p.Readings)
-		}
-	}
-}
-
 func TestE27Coalescing(t *testing.T) {
 	tab, err := E27Coalescing()
 	if err != nil {
@@ -686,27 +642,8 @@ func TestE27Coalescing(t *testing.T) {
 	// Balanced books with coalescing engaged at every RTT, and the
 	// headline factor over one record per call at 1 ms.
 	for _, r := range tab.Rows {
-		if r[6] != "PASS" {
+		if r[7] != "PASS" {
 			t.Errorf("E27 %s: %v", r[0], r)
 		}
-	}
-}
-
-func TestE27BaselinePoints(t *testing.T) {
-	points, err := E27Baseline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d, want 3", len(points))
-	}
-	// The uncoalesced wire seals one record per call; at 1 ms coalescing
-	// must beat that by 8x.
-	p := points[1]
-	if p.RTTMicros != 1000 || p.SealedRecords*8 > uint64(p.Calls) {
-		t.Fatalf("coalescing saved < 8x AEAD passes over one per call: %+v", p)
-	}
-	if p.SubsPerRecord < 2 {
-		t.Fatalf("coalesced records packed %.2f subs/record, want >= 2", p.SubsPerRecord)
 	}
 }

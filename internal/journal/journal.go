@@ -269,10 +269,10 @@ func New(cfg Config) (*Journal, error) {
 }
 
 // RecordEvent appends one event, extending the hash chain. It implements
-// the structural EventRecorder interface core, cluster, and distributed
-// declare. Implementations must not call back into the pool or system
-// that emitted the event (the emitters hold their state locks so journal
-// order equals commit order).
+// core.EventRecorder, the structural hook core, cluster, distributed,
+// shard and policy take. Implementations must not call back into the pool
+// or system that emitted the event (the emitters hold their state locks
+// so journal order equals commit order).
 func (j *Journal) RecordEvent(kind, actor, detail string, trace, span uint64) {
 	now := j.cfg.Clock()
 	j.mu.Lock()

@@ -30,7 +30,7 @@ type Engine struct {
 	approver Approver
 	ttl      time.Duration
 	clock    func() time.Time
-	rec      Recorder
+	rec      core.EventRecorder
 	mon      Monitor
 
 	root *cap.Cap // grant authority all approval caps are minted from
@@ -38,13 +38,6 @@ type Engine struct {
 	mu     sync.Mutex
 	grants map[string]*cap.Cap // rule|caller → live approval grant
 	badge  uint64
-}
-
-// Recorder receives journal events; journal.Journal satisfies it
-// structurally (it is core.EventRecorder restated here so the engine does
-// not import core's consumer-side name).
-type Recorder interface {
-	RecordEvent(kind, actor, detail string, trace, span uint64)
 }
 
 // Monitor receives policy telemetry; telemetry.Metrics satisfies it
@@ -97,7 +90,7 @@ type Config struct {
 	Clock func() time.Time
 
 	// Recorder, when set, journals "policy-approve" events.
-	Recorder Recorder
+	Recorder core.EventRecorder
 
 	// Monitor, when set, receives per-decision telemetry.
 	Monitor Monitor

@@ -15,8 +15,8 @@ import (
 
 // The shipped collectors satisfy the structural interfaces.
 var (
-	_ Monitor  = (*telemetry.Metrics)(nil)
-	_ Recorder = (*journal.Journal)(nil)
+	_ Monitor            = (*telemetry.Metrics)(nil)
+	_ core.EventRecorder = (*journal.Journal)(nil)
 )
 
 const exampleText = `# mosaic rule: ids taint the chain, tainted chains may not egress

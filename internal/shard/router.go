@@ -41,12 +41,6 @@ func (nopMonitor) ShardRoute(string, string, int)      {}
 func (nopMonitor) ShardBatch(string, string, int)      {}
 func (nopMonitor) ShardQuotaDeny(string, string)       {}
 
-// EventRecorder is the structural journal hook, identical in shape to
-// cluster.EventRecorder.
-type EventRecorder interface {
-	RecordEvent(kind, actor, detail string, trace, span uint64)
-}
-
 // Backend is the dispatch surface one shard's pool exposes to the
 // router; *cluster.Pool satisfies it. Routing against the interface
 // keeps quota/placement logic testable without standing up a fleet.
@@ -76,7 +70,7 @@ type Config struct {
 	Monitor Monitor
 
 	// Journal records shard-assign events. Optional.
-	Journal EventRecorder
+	Journal core.EventRecorder
 }
 
 // Router owns the shard map and the pools behind it: it routes every
