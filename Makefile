@@ -76,19 +76,16 @@ bench-smoke:
 bench-check:
 	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test -count=1 ./...
 
-# Short fuzzing pass over every parser that consumes attacker bytes.
+# Short fuzzing pass over every parser that consumes attacker bytes: each
+# Fuzz target in fuzz_test.go in turn, FUZZTIME apiece (CI passes 30s).
+FUZZTIME ?= 10s
+FUZZ_TARGETS := $(shell grep -o '^func Fuzz[A-Za-z0-9_]*' fuzz_test.go | cut -c6-)
+
 fuzz:
-	$(GO) test -fuzz=FuzzDecodeQuote   -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzServerRespond -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzSessionOpen   -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzVPFSRead      -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzLegacyFSNames -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzDistributedFrame -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzBatchFrameDecode -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzCoalescedRecord -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=10s -run '^$$' .
-	$(GO) test -fuzz=FuzzPolicyDecode  -fuzztime=10s -run '^$$' .
+	@for target in $(FUZZ_TARGETS); do \
+		echo "fuzz: $$target"; \
+		$(GO) test -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) -run '^$$' . || exit 1; \
+	done
 
 # The one soak: TestSoak over 500 seeds. Each seed runs a replayable
 # explorer pass through its seeded schedule of all thirteen fault verbs,

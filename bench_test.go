@@ -37,7 +37,8 @@ import (
 )
 
 // benchExperiment runs one experiment per iteration and reports a named
-// headline metric extracted from its table.
+// headline metric extracted from its table. It does not gate on the
+// table's checks: each experiment's test does.
 func benchExperiment(b *testing.B, run func() (experiments.Table, error),
 	metricName string, metric func(experiments.Table) float64) {
 	b.Helper()
@@ -54,21 +55,27 @@ func benchExperiment(b *testing.B, run func() (experiments.Table, error),
 	}
 }
 
-func cellFloat(t experiments.Table, row string, col int) float64 {
+// cellFloat reads one numeric cell (an "x" suffix allowed), failing the
+// benchmark when the row, the column or the number is missing, so a
+// reshaped table cannot publish a bogus metric.
+func cellFloat(b *testing.B, t experiments.Table, row string, col int) float64 {
+	b.Helper()
 	for _, r := range t.Rows {
-		if r[0] == row {
+		if r[0] == row && col < len(r) {
 			v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "x"), 64)
-			if err == nil {
-				return v
+			if err != nil {
+				b.Fatalf("%s row %q column %d: %v", t.ID, row, col, err)
 			}
+			return v
 		}
 	}
-	return -1
+	b.Fatalf("%s: no row %q with a column %d", t.ID, row, col)
+	return 0
 }
 
 func BenchmarkE1Containment(b *testing.B) {
 	benchExperiment(b, experiments.E1Containment, "mean-leak-pola",
-		func(t experiments.Table) float64 { return cellFloat(t, "MEAN", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "MEAN", 3) })
 }
 
 func BenchmarkE2Portability(b *testing.B) {
@@ -80,8 +87,8 @@ func BenchmarkE3SmartMeter(b *testing.B) {
 	benchExperiment(b, experiments.E3SmartMeter, "scenarios-pass",
 		func(t experiments.Table) float64 {
 			pass := 0
-			for _, r := range t.Rows {
-				if r[3] == "PASS" {
+			for _, c := range t.Checks {
+				if c.OK {
 					pass++
 				}
 			}
@@ -96,12 +103,12 @@ func BenchmarkE4Invocation(b *testing.B) {
 
 func BenchmarkE5TCB(b *testing.B) {
 	benchExperiment(b, experiments.E5TCB, "mean-reduction-x",
-		func(t experiments.Table) float64 { return cellFloat(t, "MEAN", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "MEAN", 3) })
 }
 
 func BenchmarkE6Covert(b *testing.B) {
 	benchExperiment(b, experiments.E6Covert, "tdma-bits/frame",
-		func(t experiments.Table) float64 { return cellFloat(t, "microkernel/time-partitioned", 5) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "microkernel/time-partitioned", 5) })
 }
 
 func BenchmarkE7VPFS(b *testing.B) {
@@ -116,12 +123,12 @@ func BenchmarkE8Deputy(b *testing.B) {
 
 func BenchmarkE9Phishing(b *testing.B) {
 	benchExperiment(b, experiments.E9Phishing, "hw-compromised",
-		func(t experiments.Table) float64 { return cellFloat(t, "hardware-key", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "hardware-key", 3) })
 }
 
 func BenchmarkE10Gateway(b *testing.B) {
 	benchExperiment(b, experiments.E10Gateway, "gated-victim-pkts",
-		func(t experiments.Table) float64 { return cellFloat(t, "yes", 2) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "yes", 2) })
 }
 
 func BenchmarkE11Boot(b *testing.B) {
@@ -141,7 +148,7 @@ func BenchmarkE13GUI(b *testing.B) {
 
 func BenchmarkE14Concurrency(b *testing.B) {
 	benchExperiment(b, experiments.E14Concurrency, "latelaunch-rel-x",
-		func(t experiments.Table) float64 { return cellFloat(t, "tpm-latelaunch", 5) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "tpm-latelaunch", 5) })
 }
 
 // --- mechanism micro-benchmarks ---
@@ -437,7 +444,7 @@ func BenchmarkE18AutoPartition(b *testing.B) {
 // over a single replica as the headline metric.
 func BenchmarkE19Cluster(b *testing.B) {
 	benchExperiment(b, experiments.E19Cluster, "8-replica-speedup-x",
-		func(t experiments.Table) float64 { return cellFloat(t, "8 replicas", 4) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "8 replicas", 4) })
 }
 
 // BenchmarkE20Stall regenerates the stall-containment table each iteration
@@ -445,7 +452,7 @@ func BenchmarkE19Cluster(b *testing.B) {
 // number of calls abandoned at the deadline in the wedged round.
 func BenchmarkE20Stall(b *testing.B) {
 	benchExperiment(b, experiments.E20Stall, "wedged-timeouts",
-		func(t experiments.Table) float64 { return cellFloat(t, "svc-1 wedged 4x budget", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "svc-1 wedged 4x budget", 3) })
 }
 
 // BenchmarkE21Simulation regenerates the deterministic-simulation table each
@@ -453,7 +460,7 @@ func BenchmarkE20Stall(b *testing.B) {
 // reports the number of faults injected across the mixed-fault round.
 func BenchmarkE21Simulation(b *testing.B) {
 	benchExperiment(b, experiments.E21Simulation, "mixed-faults-injected",
-		func(t experiments.Table) float64 { return cellFloat(t, "mixed-fault schedule", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "mixed-fault schedule", 3) })
 }
 
 // BenchmarkE22Pipeline regenerates the pipelining table each iteration
@@ -463,7 +470,7 @@ func BenchmarkE21Simulation(b *testing.B) {
 func BenchmarkE22Pipeline(b *testing.B) {
 	b.ReportAllocs()
 	benchExperiment(b, experiments.E22Pipelining, "depth16-calls/round",
-		func(t experiments.Table) float64 { return cellFloat(t, "16", 3) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "16", 3) })
 }
 
 // BenchmarkE23Shard regenerates the million-client sharded-fleet table
@@ -473,7 +480,7 @@ func BenchmarkE22Pipeline(b *testing.B) {
 func BenchmarkE23Shard(b *testing.B) {
 	benchExperiment(b, experiments.E23Sharding, "final-shard-epoch",
 		func(t experiments.Table) float64 {
-			return cellFloat(t, "1048576 clients, 64 tenants, 17 shards", 1)
+			return cellFloat(b, t, "1048576 clients, 64 tenants, 17 shards", 1)
 		})
 }
 
@@ -483,7 +490,7 @@ func BenchmarkE23Shard(b *testing.B) {
 // final config epoch — 4 transitions is the acceptance value.
 func BenchmarkE26Rolling(b *testing.B) {
 	benchExperiment(b, experiments.E26Rolling, "final-epoch",
-		func(t experiments.Table) float64 { return cellFloat(t, "rolling replace, zero loss", 1) })
+		func(t experiments.Table) float64 { return cellFloat(b, t, "rolling replace, zero loss", 1) })
 }
 
 // benchSink is the remote component for the stub round-trip benchmark: it

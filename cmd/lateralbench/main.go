@@ -1,6 +1,6 @@
 // lateralbench runs the reproduction experiments and prints their tables —
 // the regenerator for every figure and claim in DESIGN.md's per-experiment
-// index.
+// index. It exits 1 when an experiment errors or one of its checks fails.
 //
 //	go run ./cmd/lateralbench            # run everything
 //	go run ./cmd/lateralbench E1 E7      # run selected experiments
@@ -19,14 +19,13 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
-	if err := run(*list, flag.Args()); err != nil {
+	if err := run(experiments.All(), *list, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(list bool, args []string) error {
-	all := experiments.All()
+func run(all []experiments.Experiment, list bool, args []string) error {
 	if list {
 		for _, e := range all {
 			fmt.Printf("%-4s %s\n", e.ID, e.Name)
@@ -49,6 +48,9 @@ func run(list bool, args []string) error {
 			continue
 		}
 		fmt.Println(table)
+		if table.Err() != nil {
+			failures++
+		}
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failures)

@@ -152,9 +152,11 @@ func (p *Pool) propose(reason string) uint64 {
 
 // rekeyMembers pushes the new epoch to every member's exporter and
 // re-handshakes each one — re-attestation plus epoch-bound session keys.
-// fresh names a member whose session is already keyed at next (a joiner
-// admitted mid-transition): its exporter still gets the epoch push so it
-// refuses stale peers, but it is not drained or re-handshaken.
+// A healthy member is drained first: the push evicts its live session, so
+// a call still queued at its exporter would otherwise be dropped and fail
+// over. fresh names a member whose session is already keyed at next (a
+// joiner admitted mid-transition): its exporter gets the push at once so
+// it refuses stale peers, but it is not drained or re-handshaken.
 func (p *Pool) rekeyMembers(next uint64, fresh string) {
 	p.mu.Lock()
 	members := make([]*Replica, 0, len(p.replicas))
@@ -167,13 +169,10 @@ func (p *Pool) rekeyMembers(next uint64, fresh string) {
 
 	em, _ := p.cfg.Monitor.(EpochMonitor)
 	for _, r := range members {
-		// Control plane first: the exporter gates new hellos at the new
-		// epoch and evicts older-epoch sessions, so even a member the
-		// rekey below fails on is already unreachable with stale keys.
-		if r.setEpoch != nil {
-			r.setEpoch(next)
-		}
 		if r.name == fresh {
+			if r.setEpoch != nil {
+				r.setEpoch(next)
+			}
 			continue
 		}
 		p.mu.Lock()
@@ -184,6 +183,13 @@ func (p *Pool) rekeyMembers(next uint64, fresh string) {
 		p.mu.Unlock()
 		if pre == StateHealthy {
 			p.waitDrained(r)
+		}
+		// Control plane before the rekey: the exporter gates new hellos
+		// at the new epoch and evicts older-epoch sessions, so even a
+		// member the rekey below fails on is already unreachable with
+		// stale keys.
+		if r.setEpoch != nil {
+			r.setEpoch(next)
 		}
 		r.mu.Lock()
 		err := r.stub.Connect()

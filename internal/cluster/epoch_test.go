@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,6 +122,127 @@ func TestLeaveDrainsInflightCalls(t *testing.T) {
 		}
 	}
 	f.mustBump("k2")
+}
+
+// gatedPump holds one wire round of a replica: once armed, its next pump
+// signals entered and waits for release before serving, so the request
+// that round carries sits queued at the exporter meanwhile.
+type gatedPump struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedPump) wrap(serve func() error) func() error {
+	return func() error {
+		if g.armed.CompareAndSwap(true, false) {
+			close(g.entered)
+			<-g.release
+		}
+		return serve()
+	}
+}
+
+// heldCall builds a fleet of anon-1 (behind a gated pump) and anon-2, and
+// starts one call on anon-1 that returns only with its request queued at
+// anon-1's exporter. The scripted balancer fails the call over to anon-2.
+func heldCall(t *testing.T) (f *fixture, gate *gatedPump, callErr chan error) {
+	t.Helper()
+	f = newFleet(t, 0, nil, func(c *Config) {
+		c.Balancer = &scriptedBalancer{names: []string{replicaName(1), replicaName(2)}}
+	})
+	gate = &gatedPump{entered: make(chan struct{}), release: make(chan struct{})}
+	spec := f.buildReplica(replicaName(1), false)
+	spec.Pump = gate.wrap(spec.Pump)
+	if err := f.pool.Admit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.pool.Admit(f.buildReplica(replicaName(2), false)); err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	callErr = make(chan error, 1)
+	go func() { callErr <- f.bump("k") }()
+	<-gate.entered
+	return f, gate, callErr
+}
+
+// waitState polls until a replica reaches want.
+func (f *fixture) waitState(name string, want State) {
+	f.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); f.info(name).State != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			f.t.Fatalf("%s never reached %s", name, want)
+		}
+	}
+}
+
+// TestRekeyCompletesCallQueuedAtExporter: a call whose request is queued
+// at a member's exporter when a transition reaches that member completes
+// there, without a failover — the rekey drains the member before its
+// exporter drops the live session.
+func TestRekeyCompletesCallQueuedAtExporter(t *testing.T) {
+	f, gate, callErr := heldCall(t)
+	joinErr := make(chan error, 1)
+	go func() { joinErr <- f.pool.Join(f.buildReplica(replicaName(3), false)) }()
+	f.waitState(replicaName(1), StateDraining)
+	close(gate.release)
+	if err := <-callErr; err != nil {
+		t.Fatalf("queued call: %v", err)
+	}
+	if err := <-joinErr; err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if n := f.info(replicaName(1)).Failovers; n != 0 {
+		t.Errorf("queued call failed over %d time(s) during the rekey", n)
+	}
+	if got := f.stores[replicaName(1)].Count("k"); got != 1 {
+		t.Errorf("anon-1 served the queued call %d times, want 1", got)
+	}
+	if got := f.stores[replicaName(2)].Total(); got != 0 {
+		t.Errorf("anon-2 served %d calls, want 0", got)
+	}
+	if ri := f.info(replicaName(1)); ri.State != StateHealthy || ri.Epoch != 1 {
+		t.Errorf("anon-1 %s at session epoch %d, want healthy at 1", ri.State, ri.Epoch)
+	}
+}
+
+// TestRekeyOfPartitionedMemberHoldsOneDryRound: a member partitioned while
+// a call is on its wire holds the transition only for that call's round.
+// Without a budget the call fails over after one dry round, its charge
+// drops, and the rekey goes on (and fails: the member is unreachable).
+func TestRekeyOfPartitionedMemberHoldsOneDryRound(t *testing.T) {
+	f, gate, callErr := heldCall(t)
+	f.part.Isolate(replicaName(1))
+	joinErr := make(chan error, 1)
+	go func() { joinErr <- f.pool.Join(f.buildReplica(replicaName(3), false)) }()
+	f.waitState(replicaName(1), StateDraining)
+	select {
+	case err := <-joinErr:
+		t.Fatalf("Join returned (%v) while the drained member's call was on its wire", err)
+	default:
+	}
+	close(gate.release)
+	if err := <-callErr; err != nil {
+		t.Fatalf("call did not fail over: %v", err)
+	}
+	select {
+	case err := <-joinErr:
+		if err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("transition still held after the call's dry round")
+	}
+	if n := f.info(replicaName(1)).Failovers; n != 1 {
+		t.Errorf("anon-1 failovers = %d, want 1: one dry round", n)
+	}
+	if st := f.info(replicaName(1)).State; st == StateHealthy {
+		t.Error("partitioned member healthy after its rekey")
+	}
+	if got := f.pool.Epoch(); got != 1 {
+		t.Errorf("epoch = %d, want 1", got)
+	}
 }
 
 // TestQuarantinedNameRefusedEverywhere is the satellite regression test:

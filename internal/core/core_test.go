@@ -451,6 +451,28 @@ func TestQuoteEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeQuoteRefusesNonCanonical: only the bytes Encode produces for
+// a SignQuote quote decode. A genuine quote with trailing bytes, or with a
+// device key or signature of the wrong size, is refused with ErrQuote.
+func TestDecodeQuoteRefusesNonCanonical(t *testing.T) {
+	vendor := cryptoutil.NewSigner("v")
+	device := cryptoutil.NewSigner("d")
+	q := SignQuote("sgx-qe", cryptoutil.Hash([]byte("c")), []byte("n"), device,
+		IssueVendorCert(vendor, device.Public()))
+	shortKey, longSig := q, q
+	shortKey.DevicePub = q.DevicePub[:len(q.DevicePub)-1]
+	longSig.DeviceSig = append(append([]byte(nil), q.DeviceSig...), 0)
+	for name, b := range map[string][]byte{
+		"trailing bytes":   append(q.Encode(), 0, 0),
+		"short device key": shortKey.Encode(),
+		"long signature":   longSig.Encode(),
+	} {
+		if _, err := DecodeQuote(b); !errors.Is(err, ErrQuote) {
+			t.Errorf("%s: DecodeQuote = %v, want ErrQuote", name, err)
+		}
+	}
+}
+
 func TestCodeOfDistinguishesVersions(t *testing.T) {
 	a := CodeOf(&echoComp{name: "x"})
 	b := CodeOf(&echoComp{name: "y"})

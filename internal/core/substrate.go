@@ -207,17 +207,20 @@ func (q Quote) Encode() []byte {
 	return out
 }
 
-// DecodeQuote parses a quote serialized by Encode.
+// DecodeQuote parses a quote serialized by Encode. It accepts only the
+// canonical form Encode produces for a SignQuote quote: ed25519-sized
+// device key and signature, nothing after the last field. Every refusal
+// wraps ErrQuote.
 func DecodeQuote(b []byte) (Quote, error) {
 	var q Quote
 	next := func() ([]byte, error) {
 		if len(b) < 2 {
-			return nil, fmt.Errorf("decode quote: truncated length")
+			return nil, fmt.Errorf("decode quote: truncated length: %w", ErrQuote)
 		}
 		n := int(b[0])<<8 | int(b[1])
 		b = b[2:]
 		if len(b) < n {
-			return nil, fmt.Errorf("decode quote: truncated field")
+			return nil, fmt.Errorf("decode quote: truncated field: %w", ErrQuote)
 		}
 		f := b[:n]
 		b = b[n:]
@@ -233,7 +236,7 @@ func DecodeQuote(b []byte) (Quote, error) {
 		return q, err
 	}
 	if len(meas) != 32 {
-		return q, fmt.Errorf("decode quote: measurement must be 32 bytes, got %d", len(meas))
+		return q, fmt.Errorf("decode quote: measurement must be 32 bytes, got %d: %w", len(meas), ErrQuote)
 	}
 	copy(q.Measurement[:], meas)
 	if q.Nonce, err = next(); err != nil {
@@ -243,12 +246,21 @@ func DecodeQuote(b []byte) (Quote, error) {
 	if pub, err = next(); err != nil {
 		return q, err
 	}
+	if len(pub) != ed25519.PublicKeySize {
+		return q, fmt.Errorf("decode quote: device key must be %d bytes, got %d: %w", ed25519.PublicKeySize, len(pub), ErrQuote)
+	}
 	q.DevicePub = ed25519.PublicKey(pub)
 	if q.DeviceSig, err = next(); err != nil {
 		return q, err
 	}
+	if len(q.DeviceSig) != ed25519.SignatureSize {
+		return q, fmt.Errorf("decode quote: device signature must be %d bytes, got %d: %w", ed25519.SignatureSize, len(q.DeviceSig), ErrQuote)
+	}
 	if q.VendorCert, err = next(); err != nil {
 		return q, err
+	}
+	if len(b) != 0 {
+		return q, fmt.Errorf("decode quote: %d trailing bytes: %w", len(b), ErrQuote)
 	}
 	return q, nil
 }

@@ -25,7 +25,7 @@ func E15Interchangeability() (Table, error) {
 		ID:     "E15",
 		Title:  "the same boot-attestation flow over discrete TPM and fTPM",
 		Anchor: "§II-C 'What Is Hardware?' interchangeability",
-		Header: []string{"implementation", "anchor root", "boot-log verifies", "verdict"},
+		Header: []string{"implementation", "anchor root", "boot-log verifies"},
 	}
 	vendor := cryptoutil.NewSigner("platform-vendor")
 	chain := []attest.Stage{
@@ -59,7 +59,8 @@ func E15Interchangeability() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("discrete TPM chip", "TPM manufacturer key", boolCell(ok), passFail(ok))
+	t.AddRow("discrete TPM chip", "TPM manufacturer key", boolCell(ok))
+	t.Check("discrete TPM chip verifies", ok, "boot-log verifies="+boolCell(ok))
 
 	// Row 2: fTPM in the TrustZone secure world, trust rooted in the SoC
 	// vendor who certified the fused key.
@@ -76,7 +77,8 @@ func E15Interchangeability() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("fTPM in TrustZone", "SoC vendor key (fused)", boolCell(ok), passFail(ok))
+	t.AddRow("fTPM in TrustZone", "SoC vendor key (fused)", boolCell(ok))
+	t.Check("fTPM in TrustZone verifies", ok, "boot-log verifies="+boolCell(ok))
 
 	// Row 3: an fTPM certified by a vendor the verifier does NOT trust.
 	rogueVendor := cryptoutil.NewSigner("rogue-vendor")
@@ -92,7 +94,8 @@ func E15Interchangeability() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("fTPM, untrusted vendor", "rogue vendor key", boolCell(ok), passFail(!ok))
+	t.AddRow("fTPM, untrusted vendor", "rogue vendor key", boolCell(ok))
+	t.Check("fTPM, untrusted vendor is rejected", !ok, "boot-log verifies="+boolCell(ok))
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("one flow, two anchors: quote wire format and verifier code are shared (%d boot stages)", len(chain)))

@@ -153,7 +153,7 @@ func E17Distributed() (Table, error) {
 		ID:     "E17",
 		Title:  "distributed confidence domains",
 		Anchor: "§III-D distributed aggregates; §II-B enclave-in-the-cloud",
-		Header: []string{"deployment", "round-trip", "wire-leak", "verdict"},
+		Header: []string{"deployment", "round-trip", "wire-leak"},
 	}
 	secret := []byte("E17-ROUNDTRIP-DOC")
 
@@ -176,7 +176,8 @@ func E17Distributed() (Table, error) {
 	}
 	reply, err := local.Deliver("client", core.Message{Op: "get"})
 	ok := err == nil && string(reply.Data) == string(secret)
-	t.AddRow("local (same microkernel)", boolCell(ok), "n/a", passFail(ok))
+	t.AddRow("local (same microkernel)", boolCell(ok), "n/a")
+	t.Check("local (same microkernel) round-trips", ok, "round-trip="+boolCell(ok))
 
 	// (b) Remote: vault in a cloud enclave, attested channel.
 	laptop, _, stub, rec, _, err := e17Remote(false)
@@ -192,7 +193,9 @@ func E17Distributed() (Table, error) {
 	reply, err = laptop.Deliver("client", core.Message{Op: "get"})
 	ok = err == nil && string(reply.Data) == string(secret)
 	leak := rec.Saw(secret)
-	t.AddRow("remote (cloud SGX enclave)", boolCell(ok), boolCell(leak), passFail(ok && !leak))
+	t.AddRow("remote (cloud SGX enclave)", boolCell(ok), boolCell(leak))
+	t.Check("remote (cloud SGX enclave) round-trips, nothing on the wire", ok && !leak,
+		fmt.Sprintf("round-trip=%s, wire-leak=%s", boolCell(ok), boolCell(leak)))
 
 	// (c) Tampered cloud build: connect must fail.
 	_, _, stub2, _, _, err := e17Remote(true)
@@ -200,7 +203,8 @@ func E17Distributed() (Table, error) {
 		return t, err
 	}
 	cerr := stub2.Connect()
-	t.AddRow("remote, tampered vault build", "refused", "n/a", passFail(cerr != nil))
+	t.AddRow("remote, tampered vault build", "refused", "n/a")
+	t.Check("remote, tampered vault build is refused", cerr != nil, "refused="+boolCell(cerr != nil))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("client and vault code identical in all rows (%d-byte doc)", len(secret)))
 	return t, nil

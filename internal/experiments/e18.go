@@ -81,6 +81,10 @@ func E18AutoPartition() (Table, error) {
 		fmt.Sprintf("%.2f", monoMean), fmt.Sprintf("%.2f", monoRender))
 	t.AddRow("auto-partitioned", stats.Domains, stats.Channels,
 		fmt.Sprintf("%.2f", partMean), fmt.Sprintf("%.2f", partRender))
+	t.Check("monolithic mean leak is total", monoMean == 1, fmt.Sprintf("mean %.2f", monoMean))
+	t.Check("auto-partitioned contains the render exploit", partRender == 0, fmt.Sprintf("leak %.2f", partRender))
+	t.Check("partitioned mean < monolithic/2", partMean < monoMean/2,
+		fmt.Sprintf("%.2f vs %.2f", partMean, monoMean))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d functions, %d exposed; partitioner used asset-affinity clustering + attack-surface eviction",
 			stats.Functions, stats.Exposed))

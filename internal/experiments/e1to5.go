@@ -50,30 +50,27 @@ func E1Containment() (Table, error) {
 		results[arch] = rs
 	}
 	for i, target := range targets {
-		t.AddRow(target,
-			fmt.Sprintf("%.2f", results["vertical"][i].LeakFraction()),
-			fmt.Sprintf("%.2f", results["horizontal-broad"][i].LeakFraction()),
-			fmt.Sprintf("%.2f", results["horizontal-pola"][i].LeakFraction()))
+		v := results["vertical"][i].LeakFraction()
+		b := results["horizontal-broad"][i].LeakFraction()
+		p := results["horizontal-pola"][i].LeakFraction()
+		t.AddRow(target, fmt.Sprintf("%.2f", v), fmt.Sprintf("%.2f", b), fmt.Sprintf("%.2f", p))
+		if target == "render" {
+			t.Check("render exploit: vertical leaks everything", v == 1, fmt.Sprintf("leak %.2f", v))
+			t.Check("render exploit: broad manifest leaks", b > 0, fmt.Sprintf("leak %.2f", b))
+			t.Check("render exploit: POLA contains it", p == 0, fmt.Sprintf("leak %.2f", p))
+		}
 	}
-	t.AddRow("MEAN",
-		fmt.Sprintf("%.2f", attack.MeanLeakFraction(results["vertical"])),
-		fmt.Sprintf("%.2f", attack.MeanLeakFraction(results["horizontal-broad"])),
-		fmt.Sprintf("%.2f", attack.MeanLeakFraction(results["horizontal-pola"])))
+	v := attack.MeanLeakFraction(results["vertical"])
+	b := attack.MeanLeakFraction(results["horizontal-broad"])
+	p := attack.MeanLeakFraction(results["horizontal-pola"])
+	t.AddRow("MEAN", fmt.Sprintf("%.2f", v), fmt.Sprintf("%.2f", b), fmt.Sprintf("%.2f", p))
+	t.Check("vertical mean leak is total", v == 1, fmt.Sprintf("mean %.2f", v))
+	t.Check("mean leak: pola < broad < vertical", p < b && b < v,
+		fmt.Sprintf("%.2f / %.2f / %.2f", p, b, v))
 	t.Notes = append(t.Notes,
 		"leak fraction = assets visible to the adversary / 5 application assets",
 		"broad = isolated domains but full-mesh channels: walls without POLA")
 	return t, nil
-}
-
-// MeanLeak recomputes E1's three mean leak fractions for assertions.
-func MeanLeak() (vertical, broad, pola float64, err error) {
-	t, err := E1Containment()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	last := t.Rows[len(t.Rows)-1]
-	_, err = fmt.Sscanf(last[1]+" "+last[2]+" "+last[3], "%f %f %f", &vertical, &broad, &pola)
-	return vertical, broad, pola, err
 }
 
 // probeKeeper is the portable trusted component of E2: it stores a secret
@@ -158,23 +155,39 @@ func E2Portability() (Table, error) {
 		ID:     "E2",
 		Title:  "one component, every substrate + property matrix",
 		Anchor: "Fig. 2; §III-A unified interface",
-		Header: []string{"substrate", "runs", "spatial", "temporal", "phys-mem", "launch", "attest", "quote", "conc-trusted", "invoke-ns", "tcb-units"},
+		Header: []string{"substrate", "spatial", "temporal", "phys-mem", "launch", "attest", "quote", "conc-trusted", "invoke-ns", "tcb-units"},
 	}
+	props := make(map[string]core.Properties)
+	quoted := make(map[string]bool)
 	for _, name := range SubstrateNames() {
-		invokeOK, _, quoteOK, props, err := runProbe(name)
+		invokeOK, _, quoteOK, pr, err := runProbe(name)
 		if err != nil {
 			return t, fmt.Errorf("E2 %s: %w", name, err)
 		}
+		props[name], quoted[name] = pr, quoteOK
 		quoteCell := boolCell(quoteOK)
-		if !props.Attestation {
+		if !pr.Attestation {
 			quoteCell = "n/a"
 		}
-		t.AddRow(name, passFail(invokeOK),
-			boolCell(props.SpatialIsolation), boolCell(props.TemporalIsolation),
-			boolCell(props.PhysicalMemoryProtection), boolCell(props.SecureLaunch),
-			boolCell(props.Attestation), quoteCell,
-			boolCell(props.ConcurrentTrusted), props.InvokeCostNs, props.TCBUnits)
+		t.AddRow(name,
+			boolCell(pr.SpatialIsolation), boolCell(pr.TemporalIsolation),
+			boolCell(pr.PhysicalMemoryProtection), boolCell(pr.SecureLaunch),
+			boolCell(pr.Attestation), quoteCell,
+			boolCell(pr.ConcurrentTrusted), pr.InvokeCostNs, pr.TCBUnits)
+		t.Check(name+" runs the portable component", invokeOK, "reply carries the stored secret="+boolCell(invokeOK))
 	}
+	// Property-matrix spot checks straight from §II.
+	spot := func(substrate, column string, got, want bool) {
+		t.Check(substrate+" "+column+" = "+boolCell(want), got == want, column+"="+boolCell(got))
+	}
+	spot("monolith", "spatial", props["monolith"].SpatialIsolation, false)
+	spot("monolith", "attest", props["monolith"].Attestation, false) // quote n/a
+	spot("microkernel", "phys-mem", props["microkernel"].PhysicalMemoryProtection, false)
+	spot("sgx", "phys-mem", props["sgx"].PhysicalMemoryProtection, true)
+	spot("sgx", "quote", props["sgx"].Attestation && quoted["sgx"], true)
+	spot("tpm-latelaunch", "conc-trusted", props["tpm-latelaunch"].ConcurrentTrusted, false)
+	spot("noc", "temporal", props["noc"].TemporalIsolation, true) // a core per domain
+	spot("noc", "phys-mem", props["noc"].PhysicalMemoryProtection, true)
 	t.Notes = append(t.Notes,
 		"identical probe components (no substrate imports) ran on every row")
 	return t, nil
@@ -186,7 +199,11 @@ func E3SmartMeter() (Table, error) {
 		ID:     "E3",
 		Title:  "smart meter appliance ↔ utility server",
 		Anchor: "Fig. 3; §III-C smart meter example",
-		Header: []string{"scenario", "expected", "observed", "verdict"},
+		Header: []string{"scenario", "expected", "observed"},
+	}
+	scenario := func(name, expected, observed string, ok bool) {
+		t.AddRow(name, expected, observed)
+		t.Check(name, ok, observed)
 	}
 	// Genuine deployment: readings flow, billing adds up, database holds
 	// no identity.
@@ -200,13 +217,13 @@ func E3SmartMeter() (Table, error) {
 	if genuine {
 		total, _ = d.BillingTotal()
 	}
-	t.AddRow("genuine meter + audited anonymizer", "accepted, billed 15",
-		fmt.Sprintf("connected=%v billed=%d", genuine, total), passFail(genuine && total == 15))
+	scenario("genuine meter + audited anonymizer", "accepted, billed 15",
+		fmt.Sprintf("connected=%v billed=%d", genuine, total), genuine && total == 15)
 
 	dump, _ := d.DatabaseContents()
 	anon := genuine && !contains(dump, "customer-E3-PRIVATE") && contains(dump, "aggregate-total:")
-	t.AddRow("operator inspects database", "aggregates only, no identity",
-		fmt.Sprintf("identity-visible=%v", contains(dump, "customer-E3-PRIVATE")), passFail(anon))
+	scenario("operator inspects database", "aggregates only, no identity",
+		fmt.Sprintf("identity-visible=%v", contains(dump, "customer-E3-PRIVATE")), anon)
 
 	// Tampered anonymizer refused by the meter.
 	d2, err := meter.Deploy(meter.Options{TamperAnonymizer: true})
@@ -214,8 +231,8 @@ func E3SmartMeter() (Table, error) {
 		return t, err
 	}
 	err2 := d2.Connect()
-	t.AddRow("tampered anonymizer build", "meter refuses connection",
-		fmt.Sprintf("connect-err=%v", err2 != nil), passFail(err2 != nil))
+	scenario("tampered anonymizer build", "meter refuses connection",
+		fmt.Sprintf("connect-err=%v", err2 != nil), err2 != nil)
 
 	// Emulated meter refused by the utility.
 	d3, err := meter.Deploy(meter.Options{EmulateMeter: true})
@@ -223,8 +240,8 @@ func E3SmartMeter() (Table, error) {
 		return t, err
 	}
 	err3 := d3.Connect()
-	t.AddRow("software meter emulation", "utility refuses connection",
-		fmt.Sprintf("connect-err=%v", err3 != nil), passFail(err3 != nil))
+	scenario("software meter emulation", "utility refuses connection",
+		fmt.Sprintf("connect-err=%v", err3 != nil), err3 != nil)
 
 	// Eavesdropper on the wire.
 	rec := &netsim.Recorder{}
@@ -234,8 +251,8 @@ func E3SmartMeter() (Table, error) {
 	}
 	wireOK := d4.Connect() == nil && d4.SendReading(777) == nil &&
 		!rec.Saw([]byte("customer-E3-WIRE")) && !rec.Saw([]byte("777"))
-	t.AddRow("wire eavesdropper", "sees neither identity nor readings",
-		fmt.Sprintf("leak=%v", !wireOK), passFail(wireOK))
+	scenario("wire eavesdropper", "sees neither identity nor readings",
+		fmt.Sprintf("leak=%v", !wireOK), wireOK)
 
 	// Compromised Android cannot read meter identity.
 	d5, err := meter.Deploy(meter.Options{CustomerID: "customer-E3-TZ"})
@@ -249,8 +266,8 @@ func E3SmartMeter() (Table, error) {
 	}
 	_, _ = d5.Appliance.Deliver("android", core.Message{Op: "x"})
 	tzOK := !adv.Saw([]byte("customer-E3-TZ"))
-	t.AddRow("compromised Android on appliance", "meter identity stays in secure world",
-		fmt.Sprintf("leak=%v", !tzOK), passFail(tzOK))
+	scenario("compromised Android on appliance", "meter identity stays in secure world",
+		fmt.Sprintf("leak=%v", !tzOK), tzOK)
 	return t, nil
 }
 
@@ -266,6 +283,7 @@ func E4Invocation() (Table, error) {
 		Anchor: "§III-E decomposition cost; §II-B mechanism costs",
 		Header: []string{"substrate", "modeled-ns/call", "sim-ns/call", "fetchmail-calls", "fetchmail-modeled-us", "sim-p50-ns", "sim-p99-ns"},
 	}
+	modeled := make(map[string]int64)
 	for _, name := range SubstrateNames() {
 		sub, err := NewSubstrate(name)
 		if err != nil {
@@ -326,9 +344,24 @@ func E4Invocation() (Table, error) {
 			return t, err
 		}
 		st := msys.Stats()
-		t.AddRow(name, sub.Properties().InvokeCostNs, simNs,
+		modeled[name] = sub.Properties().InvokeCostNs
+		t.AddRow(name, modeled[name], simNs,
 			st.Invocations, fmt.Sprintf("%.1f", float64(st.VirtualNs)/1000), p50, p99)
+		t.Check(name+" fetchmail takes 6 calls", st.Invocations == 6, fmt.Sprintf("%d calls", st.Invocations))
 	}
+	// The published order of magnitude ordering: function call < IPC <
+	// SMC < enclave < mailbox < late launch.
+	order := []string{"monolith", "microkernel", "trustzone", "sgx", "sep", "tpm-latelaunch"}
+	increasing := true
+	costs := make([]string, len(order))
+	for i, name := range order {
+		costs[i] = fmt.Sprint(modeled[name])
+		if i > 0 && modeled[name] <= modeled[order[i-1]] {
+			increasing = false
+		}
+	}
+	t.Check("modeled cost: call < IPC < SMC < enclave < mailbox < late launch", increasing,
+		strings.Join(costs, " < ")+" ns")
 	t.Notes = append(t.Notes,
 		"modeled = published order of magnitude for the mechanism; sim = this simulator's Go overhead",
 		"fetchmail = ui→net→tls→parser→render→store end-to-end flow",
@@ -378,8 +411,10 @@ func E5TCB() (Table, error) {
 			fmt.Sprintf("%.0fx", float64(v.Total())/float64(h.Total())))
 	}
 	vs, hs := metrics.Summarize(vr), metrics.Summarize(hr)
+	reduction := vs.MeanTCB / hs.MeanTCB
 	t.AddRow("MEAN", fmt.Sprintf("%.0f", vs.MeanTCB), fmt.Sprintf("%.0f", hs.MeanTCB),
-		fmt.Sprintf("%.0fx", vs.MeanTCB/hs.MeanTCB))
+		fmt.Sprintf("%.0fx", reduction))
+	t.Check("mean TCB reduction >= 10x", reduction >= 10, fmt.Sprintf("%.1fx", reduction))
 	t.Notes = append(t.Notes,
 		"vertical = colocated app on a commodity OS (20000 kLoC substrate)",
 		"horizontal = per-component domains on a verified microkernel (10 kLoC substrate)")

@@ -195,7 +195,7 @@ func E20Stall() (Table, error) {
 		ID:     "E20",
 		Title:  "stall containment under deadlines",
 		Anchor: "§III-B trustworthy invocation; deadline/backpressure threading",
-		Header: []string{"scenario", "calls", "ok", "timeouts", "max-latency", "verdict"},
+		Header: []string{"scenario", "calls", "ok", "timeouts", "max-latency"},
 	}
 	const calls = 24
 	base := runtime.NumGoroutine()
@@ -208,7 +208,9 @@ func E20Stall() (Table, error) {
 	budget := 50 * time.Millisecond
 	ok, timedOut, maxEl := e20Round(f, calls, budget)
 	pass := ok == calls && timedOut == 0 && maxEl <= budget+e20Slack
-	t.AddRow("healthy fleet", calls, ok, timedOut, maxEl.Round(time.Millisecond).String(), passFail(pass))
+	t.AddRow("healthy fleet", calls, ok, timedOut, maxEl.Round(time.Millisecond).String())
+	t.Check("healthy fleet: every call ok within budget", pass,
+		fmt.Sprintf("%d/%d ok, %d timeouts, max %s vs bound %s", ok, calls, timedOut, maxEl.Round(time.Millisecond), budget+e20Slack))
 
 	// Round 2: svc-1 wedges for 4x the budget. Calls sharded to it must be
 	// abandoned at the deadline; the replica must stay admitted (slow, not
@@ -226,8 +228,10 @@ func E20Stall() (Table, error) {
 	tmoMetric := e20Timeouts(met)
 	pass2 := timedOut2 > 0 && ok2 > 0 && ok2+timedOut2 == calls &&
 		maxEl2 <= budget+e20Slack && f2.pool.Healthy() == 3 && tmoMetric > 0
-	t.AddRow("svc-1 wedged 4x budget", calls, ok2, timedOut2,
-		maxEl2.Round(time.Millisecond).String(), passFail(pass2))
+	t.AddRow("svc-1 wedged 4x budget", calls, ok2, timedOut2, maxEl2.Round(time.Millisecond).String())
+	t.Check("svc-1 wedged 4x budget: contained, slow not dead", pass2,
+		fmt.Sprintf("%d ok + %d timeouts of %d, max %s vs bound %s, healthy=%d of 3, timeouts metric=%d",
+			ok2, timedOut2, calls, maxEl2.Round(time.Millisecond), budget+e20Slack, f2.pool.Healthy(), tmoMetric))
 
 	// Round 3: congested network reorders and detains datagrams (Delayer
 	// chaos). Calls may fail over or expire, but none may exceed its budget
@@ -251,13 +255,14 @@ func E20Stall() (Table, error) {
 		healRounds++
 	}
 	pass3 := maxEl3 <= budget+e20Slack && f3.pool.Healthy() == 3 && f3.pool.Quarantined() == 0
-	t.AddRow("delayer chaos (25% detained)", calls, ok3, timedOut3,
-		maxEl3.Round(time.Millisecond).String(), passFail(pass3))
+	t.AddRow("delayer chaos (25% detained)", calls, ok3, timedOut3, maxEl3.Round(time.Millisecond).String())
+	t.Check("delayer chaos (25% detained): bounded, fleet whole again", pass3,
+		fmt.Sprintf("max %s vs bound %s, healthy=%d of 3, quarantined=%d",
+			maxEl3.Round(time.Millisecond), budget+e20Slack, f3.pool.Healthy(), f3.pool.Quarantined()))
 
 	// Abandoned handlers must finish and their goroutines exit.
 	leaked := e20Drain(base, 3*time.Second)
-	t.AddRow("goroutine leak check", "-", "-", "-",
-		fmt.Sprintf("%d leaked", leaked), passFail(leaked == 0))
+	t.Check("goroutine leak check", leaked == 0, fmt.Sprintf("%d leaked", leaked))
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("containment bound: per-call budget + one health interval (%s); wall-clock time", e20Slack),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"lateral/internal/simtest"
@@ -22,7 +23,7 @@ func E21Simulation() (Table, error) {
 		ID:     "E21",
 		Title:  "deterministic fleet simulation",
 		Anchor: "§III-B trustworthy invocation; attestation-gated fleet membership",
-		Header: []string{"scenario", "seeds", "ops", "faults", "violations", "verdict"},
+		Header: []string{"scenario", "seeds", "ops", "faults", "violations"},
 	}
 
 	// Round 1: random exploration across a batch of seeds, fault-free.
@@ -36,7 +37,8 @@ func E21Simulation() (Table, error) {
 		totalOps += res.Ops
 		totalViol += len(res.Violations)
 	}
-	t.AddRow("random ops, no faults", seeds, totalOps, 0, totalViol, passFail(totalViol == 0))
+	t.AddRow("random ops, no faults", seeds, totalOps, 0, totalViol)
+	t.Check("random ops, no faults: every invariant holds", totalViol == 0, fmt.Sprintf("%d violations", totalViol))
 
 	// Round 2: each seed's soak schedule — every fault verb composed over
 	// the same seeds. All invariants must still hold.
@@ -50,7 +52,9 @@ func E21Simulation() (Table, error) {
 		totalViol += len(res.Violations)
 		totalFaults += res.Faults
 	}
-	t.AddRow("mixed-fault schedule", seeds, totalOps, totalFaults, totalViol, passFail(totalViol == 0))
+	t.AddRow("mixed-fault schedule", seeds, totalOps, totalFaults, totalViol)
+	t.Check("mixed-fault schedule: every invariant holds", totalViol == 0, fmt.Sprintf("%d violations", totalViol))
+	t.Check("mixed-fault schedule injected faults", totalFaults > 0, fmt.Sprintf("%d faults", totalFaults))
 
 	// Round 3: seed replay. The same seed and schedule must reproduce a
 	// byte-identical event trace — the property that makes every failure
@@ -65,8 +69,9 @@ func E21Simulation() (Table, error) {
 		return t, err
 	}
 	identical := a.TraceBytes() == b.TraceBytes()
-	t.AddRow("seed replay byte-identical", 1, a.Ops, a.Faults, len(a.Violations),
-		passFail(identical && !a.Failed()))
+	t.AddRow("seed replay byte-identical", 1, a.Ops, a.Faults, len(a.Violations))
+	t.Check("seed replay byte-identical", identical && !a.Failed(),
+		fmt.Sprintf("identical traces=%s, %d violations", boolCell(identical), len(a.Violations)))
 
 	// Round 4: quarantine is absorbing. Tamper with one replica's wire
 	// traffic, let the pool quarantine it, heal the wire, and verify the
@@ -83,8 +88,8 @@ func E21Simulation() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("tamper -> quarantine absorbing", 1, res.Ops, res.Faults, len(res.Violations),
-		passFail(!res.Failed()))
+	t.AddRow("tamper -> quarantine absorbing", 1, res.Ops, res.Faults, len(res.Violations))
+	t.Check("tamper -> quarantine absorbing", !res.Failed(), fmt.Sprintf("%d violations", len(res.Violations)))
 
 	t.Notes = append(t.Notes,
 		"invariants checked after every step: all ten, every run",

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,20 +145,23 @@ func e22Run(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Re
 // secure channel. Under a fixed simulated round-trip time, the cost of a
 // workload is the number of wire rounds it needs; depth-d pipelining
 // amortizes each round over up to d calls. The experiment sweeps the
-// depth and verifies both the speedup and the exactly-once bookkeeping
-// (issued = completed, nothing in flight, no orphaned replies) at every
-// depth.
+// depth and checks the speedup, that depth 16 really kept calls in flight
+// together, and the exactly-once bookkeeping (issued = completed, nothing
+// in flight, no orphaned replies) and the allocs/op cap at every depth.
+// A race build reports the caps in a note instead of checking them: the
+// race detector's instrumentation allocates.
 func E22Pipelining() (Table, error) {
 	t := Table{
 		ID:     "E22",
 		Title:  "pipelined secure-channel RPC",
 		Anchor: "§III-B trustworthy invocation across machines; latency of attested channels",
-		Header: []string{"depth", "calls", "rounds", "calls/round", "allocs/op", "verdict"},
+		Header: []string{"depth", "calls", "rounds", "calls/round", "allocs/op"},
 	}
 
 	const calls = 256
 	const rtt = time.Millisecond
 	rounds := make(map[int]int64)
+	var unchecked []string // allocs/op against cap, in a race build
 	for _, depth := range []int{1, 4, 16, 64} {
 		r, err := e22Run(depth, calls, rtt, nil)
 		if err != nil {
@@ -166,18 +170,29 @@ func E22Pipelining() (Table, error) {
 		st := r.stats
 		rounds[depth] = r.pumps
 		allocs := float64(r.mallocs) / float64(calls)
-		balanced := st.Issued == st.Completed+st.Failed &&
-			st.Failed == 0 && st.Inflight == 0 && st.Orphans == 0 &&
-			allocs <= e22AllocCap(depth)
-		t.AddRow(depth, calls, r.pumps, float64(calls)/float64(r.pumps),
-			fmt.Sprintf("%.2f", allocs), passFail(balanced))
+		t.AddRow(depth, calls, r.pumps, float64(calls)/float64(r.pumps), fmt.Sprintf("%.2f", allocs))
+		t.Check(fmt.Sprintf("depth %d balanced books", depth),
+			st.Issued == st.Completed+st.Failed && st.Failed == 0 && st.Inflight == 0 && st.Orphans == 0,
+			fmt.Sprintf("issued %d, completed %d, failed %d, in flight %d, orphans %d",
+				st.Issued, st.Completed, st.Failed, st.Inflight, st.Orphans))
+		if raceEnabled {
+			unchecked = append(unchecked, fmt.Sprintf("%.2f/%g at depth %d", allocs, e22AllocCap(depth), depth))
+		} else {
+			t.Check(fmt.Sprintf("depth %d allocs/op <= %g", depth, e22AllocCap(depth)),
+				allocs <= e22AllocCap(depth), fmt.Sprintf("%.2f allocs/op", allocs))
+		}
+		if depth == 16 {
+			t.Check("depth 16 pipelined", st.MaxInflight > 1, fmt.Sprintf("at most %d calls in flight", st.MaxInflight))
+		}
 	}
 
 	// The headline claim: depth-16 pipelining needs at least 3x fewer
 	// wire rounds than depth-1 for the same workload.
 	speedup := float64(rounds[1]) / float64(rounds[16])
-	t.AddRow("16 vs 1", calls, "-", "-", "-",
-		passFail(speedup >= 3))
+	t.Check("16 vs 1: >= 3x fewer wire rounds", speedup >= 3, fmt.Sprintf("%.1fx fewer", speedup))
+	if raceEnabled {
+		t.Notes = append(t.Notes, "race build, allocs/op caps not checked (the detector allocates): "+strings.Join(unchecked, ", "))
+	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("round amortization at depth 16: %.1fx fewer wire rounds than depth 1", speedup),
 		"rounds exclude the handshake; each round costs one simulated RTT",

@@ -206,7 +206,7 @@ func E23Sharding() (Table, error) {
 		ID:     "E23",
 		Title:  "million-client sharded fleet",
 		Anchor: "§III-D anonymizer at population scale; Fig. 3 provider backend",
-		Header: []string{"scenario", "epoch", "detail", "verdict"},
+		Header: []string{"scenario", "epoch", "detail"},
 	}
 	const metersPerTenant = 16384
 	total := e23Tenants * metersPerTenant // 1,048,576 simulated clients
@@ -242,10 +242,10 @@ func E23Sharding() (Table, error) {
 		return t, err
 	}
 	ingestOK := run.Accepted == total && run.Refused == 0 && len(lost) == 0
-	t.AddRow(fmt.Sprintf("%d clients, %d tenants, %d shards", total, e23Tenants, len(f.Demos)),
-		epoch,
-		fmt.Sprintf("%d/%d accepted, %d refused, %d tenants with loss", run.Accepted, total, run.Refused, len(lost)),
-		passFail(ingestOK))
+	ingest := fmt.Sprintf("%d clients, %d tenants, %d shards", total, e23Tenants, len(f.Demos))
+	t.AddRow(ingest, epoch,
+		fmt.Sprintf("%d/%d accepted, %d refused, %d tenants with loss", run.Accepted, total, run.Refused, len(lost)))
+	t.Check(ingest, ingestOK, "want every reading accepted, none refused, no tenant with loss")
 
 	// The mid-stream rebalance: one extra epoch past the 16 seed joins,
 	// and the joiner carries real traffic afterwards — its slice of the
@@ -261,15 +261,17 @@ func E23Sharding() (Table, error) {
 		joinerRouted > 0 && joinerRouted < totalRouted/4 &&
 		totalRouted == int64(total)
 	t.AddRow("rebalance mid-stream (~K/N keys move)", epoch,
-		fmt.Sprintf("%s joined at epoch %d, took %d of %d readings", e23Cell(e23Shards), epoch, joinerRouted, totalRouted),
-		passFail(rebalanceOK))
+		fmt.Sprintf("%s joined at epoch %d, took %d of %d readings", e23Cell(e23Shards), epoch, joinerRouted, totalRouted))
+	t.Check("rebalance mid-stream (~K/N keys move)", rebalanceOK,
+		fmt.Sprintf("want epoch %d, the joiner taking more than none and under a quarter of all %d readings", e23Shards+1, total))
 
 	// Batch economics: one sealed frame per e23Batch readings means one
 	// AEAD pass per hop where per-reading dispatch would take e23Batch.
 	factor := run.Accepted / run.Frames
 	t.AddRow("batched ingestion amortizes AEAD", epoch,
-		fmt.Sprintf("%d sealed frames for %d readings (%dx fewer AEAD passes)", run.Frames, run.Accepted, factor),
-		passFail(factor >= 8 && run.Frames == totalFrames))
+		fmt.Sprintf("%d sealed frames for %d readings (%dx fewer AEAD passes)", run.Frames, run.Accepted, factor))
+	t.Check("batched ingestion amortizes AEAD", factor == e23Batch && run.Frames == totalFrames,
+		fmt.Sprintf("want %d frames, %dx fewer AEAD passes", totalFrames, e23Batch))
 
 	// Tenant quota: an abusive burst is refused at the router with a
 	// typed overload before any shard sees it — no retry burned, no
@@ -293,8 +295,9 @@ func E23Sharding() (Table, error) {
 	}
 	quotaOK := errors.Is(qerr, core.ErrOverloaded) && after == before && denied == 1
 	t.AddRow("tenant quota refuses burst untouched", epoch,
-		fmt.Sprintf("%d-reading burst vs quota %d: typed refusal, %d readings reached a shard", len(burst), 2*e23Batch, after-before),
-		passFail(quotaOK))
+		fmt.Sprintf("%d-reading burst vs quota %d: typed refusal, %d readings reached a shard", len(burst), 2*e23Batch, after-before))
+	t.Check("tenant quota refuses burst untouched", quotaOK,
+		"want a typed overload, nothing processed, one denial")
 
 	// Auditor replay: the exported journal rederives the full placement
 	// history — 16 seed joins plus the mid-stream join, epochs strictly
@@ -314,8 +317,9 @@ func E23Sharding() (Table, error) {
 			final.Epoch == epoch && len(final.Members) == e23Shards+1
 	}
 	t.AddRow("placement history replays from export", epoch,
-		fmt.Sprintf("%d shard-assign records, final membership %d cells", len(audit.Shards), len(f.Router.Members())),
-		passFail(auditOK))
+		fmt.Sprintf("%d shard-assign records, final membership %d cells", len(audit.Shards), len(f.Router.Members())))
+	t.Check("placement history replays from export", auditOK,
+		fmt.Sprintf("want %d shard-assign records ending in %s's join at the live epoch", e23Shards+1, e23Cell(e23Shards)))
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d tenants × %d meters = %d simulated clients, one reading each, %d-reading sealed frames keyed by tenant/block", e23Tenants, metersPerTenant, total, e23Batch),

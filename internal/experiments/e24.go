@@ -23,7 +23,7 @@ func E24Audit() (Table, error) {
 		ID:     "E24",
 		Title:  "fleet black box: auditor replay and tamper evidence",
 		Anchor: "§III-B remote attestation as evidence; §V trustworthy operation over time",
-		Header: []string{"scenario", "entries", "ckpts", "detected", "verdict"},
+		Header: []string{"scenario", "entries", "ckpts", "detected"},
 	}
 
 	signer := cryptoutil.NewSigner("e24-auditor")
@@ -70,7 +70,8 @@ func E24Audit() (Table, error) {
 	// Row 1: honest replay reconstructs the live pool's trust state.
 	audit, err := journal.Replay(export, signer.Public(), trusted)
 	replayOK := err == nil && len(audit.Diff(d.Pool.States())) == 0
-	t.AddRow("auditor replay == live fleet", entries, ckpts, "-", passFail(replayOK))
+	t.AddRow("auditor replay == live fleet", entries, ckpts, "-")
+	t.Check("auditor replay == live fleet", replayOK, "want a clean replay with no divergence from the live pool")
 
 	// Row 2: every single byte flip in the export fails verification.
 	flips, caught := 0, 0
@@ -82,15 +83,25 @@ func E24Audit() (Table, error) {
 			caught++
 		}
 	}
-	t.AddRow(fmt.Sprintf("all %d single-byte flips", flips), entries, ckpts,
-		fmt.Sprintf("%d/%d", caught, flips), passFail(caught == flips))
+	sweep := fmt.Sprintf("all %d single-byte flips", flips)
+	t.AddRow(sweep, entries, ckpts, fmt.Sprintf("%d/%d", caught, flips))
+	t.Check(sweep, caught == flips, "want every flip detected")
+	// The sweep must have exercised a non-trivial export.
+	t.Check("chaos run journaled entries", entries > 0 && flips > 0,
+		fmt.Sprintf("%d entries, %d-byte export", entries, flips))
 
 	// Row 3: serving a stale export against the current counter is a
 	// detected rollback, as is regressing the trusted counter itself.
 	_, errStale := journal.Replay(staleExport, signer.Public(), trusted)
 	_, errReg := journal.Replay(export, signer.Public(), trusted-1)
-	rollbackOK := errStale != nil && errReg != nil
-	t.AddRow("rollback: stale export / counter-1", entries, ckpts, "2/2", passFail(rollbackOK))
+	detected := 0
+	for _, err := range []error{errStale, errReg} {
+		if err != nil {
+			detected++
+		}
+	}
+	t.AddRow("rollback: stale export / counter-1", entries, ckpts, fmt.Sprintf("%d/2", detected))
+	t.Check("rollback: stale export / counter-1", detected == 2, "want both refused")
 
 	// Row 4: the admission-time quarantine tripped the flight recorder.
 	dumps := flight.Dumps()
@@ -100,7 +111,8 @@ func E24Audit() (Table, error) {
 			dumpOK = true
 		}
 	}
-	t.AddRow("flight dump on quarantine", entries, ckpts, len(dumps), passFail(dumpOK))
+	t.AddRow("flight dump on quarantine", entries, ckpts, len(dumps))
+	t.Check("flight dump on quarantine", dumpOK, "want a dump triggered by the quarantine")
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("chaos run: %d meters × %d readings, anon-2 crashed and re-admitted, tampered anon-5 quarantined at admission", meters, rounds),

@@ -96,7 +96,7 @@ func E25Policy() (Table, error) {
 		ID:     "E25",
 		Title:  "chain-aware policy: mosaic exfiltration denied",
 		Anchor: "§II least privilege beyond capabilities; §V trustworthy operation over time",
-		Header: []string{"scenario", "outcome", "denies", "verdict"},
+		Header: []string{"scenario", "outcome", "denies"},
 	}
 
 	// --- local machine: app/vault/sink under one policy engine ---------
@@ -157,8 +157,8 @@ func E25Policy() (Table, error) {
 			okSends++
 		}
 	}
-	t.AddRow("untainted egress ×10", fmt.Sprintf("%d ok", okSends), sys.Stats().PolicyDenies,
-		passFail(okSends == 10 && sys.Stats().PolicyDenies == 0))
+	t.AddRow("untainted egress ×10", fmt.Sprintf("%d ok", okSends), sys.Stats().PolicyDenies)
+	t.Check("untainted egress ×10", okSends == 10 && sys.Stats().PolicyDenies == 0, "want 10 ok, no deny")
 
 	// Row 2: the mosaic — read ids, then egress — is denied before the sink
 	// runs, and the deny lands in the journal.
@@ -173,7 +173,9 @@ func E25Policy() (Table, error) {
 	}
 	mosaicOK := errors.Is(exfilErr, core.ErrPolicy) && sink.sent == sentBefore &&
 		denies == 1 && deniedEntries == 1
-	t.AddRow("mosaic exfil (ids→net)", outcomeCell(exfilErr), denies, passFail(mosaicOK))
+	t.AddRow("mosaic exfil (ids→net)", outcomeCell(exfilErr), denies)
+	t.Check("mosaic exfil (ids→net)", mosaicOK,
+		fmt.Sprintf("want one policy deny before the sink runs, journaled once (%d journaled)", deniedEntries))
 
 	// Row 3: sanctioned export needs approval; the grant covers repeats
 	// until its TTL decays, then the next export must re-approve.
@@ -189,7 +191,9 @@ func E25Policy() (Table, error) {
 		return t, fmt.Errorf("e25: export after decay: %w", err)
 	}
 	t.AddRow("approved export, TTL decay", fmt.Sprintf("%d approvals/3 exports", approvals),
-		sys.Stats().PolicyDenies, passFail(reused && approvals == 2))
+		sys.Stats().PolicyDenies)
+	t.Check("approved export, TTL decay", reused && approvals == 2,
+		"want the first grant reused once, then re-approved after decay")
 
 	// Row 4: the taint crosses the wire — a remote machine's own policy
 	// denies the tainted ingress at its deliver boundary.
@@ -197,7 +201,8 @@ func E25Policy() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.AddRow("tainted ingress at remote boundary", "denied on wire", 1, passFail(wireOK))
+	t.AddRow("tainted ingress at remote boundary", "denied on wire", 1)
+	t.Check("tainted ingress at remote boundary", wireOK, "want the remote machine's own policy to deny it")
 
 	// Row 5: an auditor holding only the export replays the denies.
 	if err := jnl.Checkpoint(); err != nil {
@@ -205,8 +210,8 @@ func E25Policy() (Table, error) {
 	}
 	trusted, _ := counter.Value()
 	_, replayErr := journal.Replay(jnl.Export(), signer.Public(), trusted)
-	t.AddRow("auditor replay of deny journal", fmt.Sprintf("%d policy entries", deniedEntries+2),
-		denies, passFail(replayErr == nil))
+	t.AddRow("auditor replay of deny journal", fmt.Sprintf("%d policy entries", deniedEntries+2), denies)
+	t.Check("auditor replay of deny journal", replayErr == nil, "want a clean replay from the export alone")
 
 	t.Notes = append(t.Notes,
 		"policy (decoded from its canonical text form): taint vault/ids; deny to-net when tainted; approve to-export when tainted",

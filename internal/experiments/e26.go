@@ -24,7 +24,7 @@ func E26Rolling() (Table, error) {
 		ID:     "E26",
 		Title:  "rolling replace under config epochs",
 		Anchor: "§III-D elastic attested fleets; §V membership as auditable history",
-		Header: []string{"scenario", "epoch", "detail", "verdict"},
+		Header: []string{"scenario", "epoch", "detail"},
 	}
 
 	signer := cryptoutil.NewSigner("e26-auditor")
@@ -89,8 +89,9 @@ func E26Rolling() (Table, error) {
 	rollOK := accepted == total && lost == 0 && len(transitionErrs) == 0 &&
 		epoch == 4 && d.Pool.Healthy() == 3
 	t.AddRow("rolling replace, zero loss", epoch,
-		fmt.Sprintf("%d/%d accepted, %d lost, %d healthy", accepted, total, lost, d.Pool.Healthy()),
-		passFail(rollOK))
+		fmt.Sprintf("%d/%d accepted, %d lost, %d healthy", accepted, total, lost, d.Pool.Healthy()))
+	t.Check("rolling replace, zero loss", rollOK,
+		fmt.Sprintf("want every reading accepted, none lost, epoch 4, 3 healthy (%d transition errors)", len(transitionErrs)))
 	if len(transitionErrs) > 0 {
 		return t, fmt.Errorf("e26: transitions failed: %v", transitionErrs)
 	}
@@ -100,8 +101,8 @@ func E26Rolling() (Table, error) {
 	_, staleErr := pre.Handle(core.Envelope{Msg: core.Message{
 		Op: "reading", Data: []byte("meter-pre=\x05"),
 	}})
-	t.AddRow("stale session refused", epoch,
-		"epoch-0 keys against epoch-4 fleet", passFail(staleErr != nil))
+	t.AddRow("stale session refused", epoch, "epoch-0 keys against epoch-4 fleet")
+	t.Check("stale session refused", staleErr != nil, "want the epoch-0 session's call to fail")
 
 	// A replayed pre-epoch hello is refused at the handshake, while a
 	// client stamping the live epoch (and passing attestation) connects.
@@ -115,8 +116,9 @@ func E26Rolling() (Table, error) {
 		return t, err
 	}
 	freshErr := fresh.Connect()
-	t.AddRow("stale hello refused, live hello accepted", epoch,
-		"hello epochs 0 and 4", passFail(replayErr != nil && freshErr == nil))
+	t.AddRow("stale hello refused, live hello accepted", epoch, "hello epochs 0 and 4")
+	t.Check("stale hello refused, live hello accepted", replayErr != nil && freshErr == nil,
+		fmt.Sprintf("stale refused=%s, live accepted=%s", boolCell(replayErr != nil), boolCell(freshErr == nil)))
 
 	// The auditor replays the full membership history from the exported
 	// journal alone: four transitions, in order, ending at the live state.
@@ -140,8 +142,9 @@ func E26Rolling() (Table, error) {
 		_, hasDeparted := last["anonymizer/anon-1"]
 		auditOK = auditOK && !hasDeparted && len(audit.Diff(d.Pool.States())) == 0
 	}
-	t.AddRow("auditor replays membership history", epoch,
-		fmt.Sprintf("%d epoch records", len(audit.Epochs)), passFail(auditOK))
+	t.AddRow("auditor replays membership history", epoch, fmt.Sprintf("%d epoch records", len(audit.Epochs)))
+	t.Check("auditor replays membership history", auditOK,
+		"want 4 epoch records in order, ending at the live membership")
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d meters × %d readings; transitions at 1/6, 1/3, 1/2, 2/3 of the stream; anon-3 crashed at 5/6 and recovered", meters, rounds),

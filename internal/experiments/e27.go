@@ -52,7 +52,7 @@ func e27Run(rtt time.Duration) (e27Sample, error) {
 	return e27Sample{res: res, p99: lat[(99*e27Calls)/100]}, nil
 }
 
-// e27Balanced is the per-point verdict: every call resolved exactly once,
+// e27Balanced is the per-point check: every call resolved exactly once,
 // nothing lost, orphaned, or left in flight, and coalescing engaged —
 // strictly fewer records than calls, at least one of them coalesced.
 func e27Balanced(st distributed.StubStats) bool {
@@ -79,7 +79,7 @@ func E27Coalescing() (Table, error) {
 		ID:     "E27",
 		Title:  "wire-level frame coalescing",
 		Anchor: "§III-B trustworthy invocation across machines; cost of attested channels at scale",
-		Header: []string{"rtt", "depth", "records", "subs/rec", "rounds", "p99", "allocs/op", "verdict"},
+		Header: []string{"rtt", "depth", "records", "subs/rec", "rounds", "p99", "allocs/op"},
 	}
 
 	var records uint64
@@ -94,14 +94,18 @@ func E27Coalescing() (Table, error) {
 		}
 		t.AddRow(rtt.String(), e27Depth, st.Records, fmt.Sprintf("%.2f", e27SubsPerRecord(st)),
 			s.res.pumps, s.p99.Round(10*time.Microsecond),
-			fmt.Sprintf("%.2f", float64(s.res.mallocs)/e27Calls), passFail(e27Balanced(st)))
+			fmt.Sprintf("%.2f", float64(s.res.mallocs)/e27Calls))
+		t.Check(rtt.String()+" balanced books, coalescing engaged", e27Balanced(st),
+			fmt.Sprintf("issued %d, completed %d, failed %d, in flight %d, orphans %d, %d records, %d coalesced",
+				st.Issued, st.Completed, st.Failed, st.Inflight, st.Orphans, st.Records, st.CoalescedRecords))
 	}
 
 	// The headline claim: at 64 concurrent callers and 1 ms, coalescing
 	// seals at least 8x fewer records — 8x fewer AEAD passes on the
 	// request path — than the uncoalesced wire's one per call.
 	reduction := float64(e27Calls) / float64(records)
-	t.AddRow("1ms vs 1/call", e27Depth, "-", "-", "-", "-", "-", passFail(reduction >= 8))
+	t.Check("1ms vs 1/call: >= 8x fewer sealed records", reduction >= 8,
+		fmt.Sprintf("%d records for %d calls, %.1fx fewer", records, e27Calls, reduction))
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("AEAD passes on the request path at 1ms: %d uncoalesced vs %d coalesced (%.1fx fewer)",

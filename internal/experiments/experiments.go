@@ -1,8 +1,10 @@
 // Package experiments implements the reproduction harness: one function
 // per experiment in DESIGN.md's per-experiment index (E1–E27 plus the
-// ablations folded into their tables). Each returns a Table whose rows the
-// command-line harness prints and whose numbers the benchmark suite and
-// tests assert on.
+// ablations folded into their tables). Each returns a Table: rows of
+// measurements, and the named checks the experiment computed over its own
+// values — its verdicts. The command-line harness prints both and exits 1
+// on a failed check; each experiment's test requires every check, and the
+// benchmark suite reports headline numbers from the rows.
 //
 // The paper is a vision paper without quantitative tables; these
 // experiments validate every falsifiable claim it makes instead, each
@@ -30,7 +32,34 @@ type Table struct {
 	Anchor string // paper passage the experiment reproduces
 	Header []string
 	Rows   [][]string
+	Checks []Check
 	Notes  []string
+}
+
+// Check is one named verdict an experiment reached over its own values.
+type Check struct {
+	Name   string
+	OK     bool
+	Detail string // the observed values, or the condition where the row shows them
+}
+
+// Check records a named verdict.
+func (t *Table) Check(name string, ok bool, detail string) {
+	t.Checks = append(t.Checks, Check{Name: name, OK: ok, Detail: detail})
+}
+
+// Err names every failed check, or returns nil when all passed.
+func (t Table) Err() error {
+	var failed []string
+	for _, c := range t.Checks {
+		if !c.OK {
+			failed = append(failed, c.Name+" ("+c.Detail+")")
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: failed check(s): %s", t.ID, strings.Join(failed, "; "))
 }
 
 // AddRow appends a row, stringifying the cells.
@@ -84,6 +113,13 @@ func (t Table) String() string {
 	line(sep)
 	for _, row := range t.Rows {
 		line(row)
+	}
+	for _, c := range t.Checks {
+		verdict := "PASS"
+		if !c.OK {
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(&b, "%s  %s: %s\n", verdict, c.Name, c.Detail)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -182,11 +218,4 @@ func boolCell(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-func passFail(ok bool) string {
-	if ok {
-		return "PASS"
-	}
-	return "FAIL"
 }

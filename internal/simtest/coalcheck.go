@@ -1,14 +1,16 @@
 package simtest
 
-// The tenth invariant: coalesced-record accounting. The distributed
-// stub's frame coalescer lets concurrent callers share one sealed wire
-// record, so the books it keeps are the proof that sharing never loses or
-// duplicates a call: every issued call's request frame is sealed exactly
-// once (alone in a record of one sub-frame, or beside others in a record
-// the stub counts as coalesced), every record counted as coalesced
-// carries at least two sub-frames, and — combined with the pipeline
-// checker's Issued == Completed + Failed equation — every sub-frame of a
-// record completes exactly once or its caller sees a typed error.
+// ---- coalesce-exactly-once: coalesced-record accounting -------------
+
+// The distributed stub's frame coalescer lets concurrent callers share
+// one sealed wire record, so the books it keeps are the proof that
+// sharing never loses or duplicates a call: every issued call's request
+// frame is sealed exactly once (alone in a record of one sub-frame, or
+// beside others in a record the stub counts as coalesced), every record
+// counted as coalesced carries at least two sub-frames, and — combined
+// with the pipeline checker's Issued == Completed + Failed equation —
+// every sub-frame of a record completes exactly once or its caller sees
+// a typed error.
 
 import (
 	"fmt"

@@ -7,7 +7,7 @@ import (
 	"lateral/internal/cluster"
 )
 
-// ---- Invariant 8: epoch membership is enforced -----------------------
+// ---- epoch-membership: epoch membership is enforced -----------------
 
 // EpochChecker verifies the dynamic-membership contract: no call ever
 // completes against an evicted replica, and no replica serves while

@@ -29,7 +29,7 @@ type Checker interface {
 	Check() []Violation
 }
 
-// ---- Invariant 1: handler serialization ------------------------------
+// ---- handler-serialization: handlers never overlap ------------------
 
 // SerialGuard instruments one component's handler body: Enter/Exit around
 // the body record the peak number of concurrent executions. The system
@@ -96,7 +96,7 @@ func (c *SerialChecker) Check() []Violation {
 	return out
 }
 
-// ---- Invariant 2: deadline-budget monotonicity -----------------------
+// ---- deadline-monotonicity: budgets only tighten --------------------
 
 // BudgetChecker verifies that budgets only tighten down the call tree:
 // for every (parent, child) deadline pair recorded under one operation
@@ -167,7 +167,7 @@ func (c *BudgetChecker) Check() []Violation {
 	return out
 }
 
-// ---- Invariant 3: quarantine is absorbing ----------------------------
+// ---- quarantine-is-absorbing: quarantine is forever -----------------
 
 // AbsorbChecker verifies that a named absorbing state is never left: once
 // the snapshot function reports an entity absorbed, every later snapshot
@@ -221,7 +221,7 @@ func (c *AbsorbChecker) Check() []Violation {
 	return out
 }
 
-// ---- Invariant 4: pipelined calls complete exactly once --------------
+// ---- pipeline-exactly-once: pipelined calls resolve once ------------
 
 // PipelineChecker verifies the distributed stubs' correlation-ID
 // accounting: every call a stub issued resolved exactly once — issued =
@@ -267,7 +267,7 @@ func (c *PipelineChecker) Check() []Violation {
 	return out
 }
 
-// ---- Invariant 5: telemetry conservation -----------------------------
+// ---- telemetry-conservation: every op has one outcome ---------------
 
 // Ledger accounts every operation the driver starts against exactly one
 // outcome bucket. Conservation is the bucket equation: nothing the driver
@@ -320,7 +320,60 @@ func (l *Ledger) Counts() (started, ok, timeouts, cancels, sheds, failed, inflig
 	return l.started, l.ok, l.timeouts, l.cancels, l.sheds, l.failed, l.inflight
 }
 
-// ---- Invariant 6: no post-taint egress --------------------------------
+// ConservationChecker verifies the ledger equation
+//
+//	started = completions + timeouts + cancellations + sheds + failures
+//
+// at every quiesce point (inflight must be 0 when the explorer checks),
+// and cross-checks the systems' cost counters: completed work implies at
+// least as many substrate invocations, and every watchdog abandonment the
+// systems counted must not exceed what callers were told — timeouts the
+// servers record are a lower bound on what the ledger saw only when no
+// call is refused client-side, so the cross-check is one-directional.
+type ConservationChecker struct {
+	led   *Ledger
+	stats func() core.Stats // aggregated over every system in the sim
+}
+
+// NewConservationChecker builds the checker over the ledger and an
+// aggregated stats snapshot function.
+func NewConservationChecker(led *Ledger, stats func() core.Stats) *ConservationChecker {
+	return &ConservationChecker{led: led, stats: stats}
+}
+
+// Name implements Checker.
+func (c *ConservationChecker) Name() string { return "telemetry-conservation" }
+
+// Check implements Checker.
+func (c *ConservationChecker) Check() []Violation {
+	started, ok, tmo, can, shed, failed, inflight := c.led.Counts()
+	var out []Violation
+	if inflight != 0 {
+		// Not a quiesce point; the equation is only meaningful when every
+		// submitted op has resolved. The explorer quiesces before checking.
+		return nil
+	}
+	if started != ok+tmo+can+shed+failed {
+		out = append(out, Violation{
+			Invariant: c.Name(),
+			Detail: fmt.Sprintf("started %d != ok %d + timeouts %d + cancels %d + sheds %d + failures %d",
+				started, ok, tmo, can, shed, failed),
+		})
+	}
+	if c.stats != nil {
+		st := c.stats()
+		if st.Invocations < ok {
+			out = append(out, Violation{
+				Invariant: c.Name(),
+				Detail: fmt.Sprintf("substrate invocations %d < completed calls %d",
+					st.Invocations, ok),
+			})
+		}
+	}
+	return out
+}
+
+// ---- no-tainted-egress: no post-taint egress ------------------------
 
 // PolicyChecker verifies the chain-aware policy end to end: once a chain
 // has touched identifying data (the "meter-identities" taint the harness
@@ -378,57 +431,4 @@ func (c *PolicyChecker) Check() []Violation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Violation(nil), c.viols...)
-}
-
-// ConservationChecker verifies the ledger equation
-//
-//	started = completions + timeouts + cancellations + sheds + failures
-//
-// at every quiesce point (inflight must be 0 when the explorer checks),
-// and cross-checks the systems' cost counters: completed work implies at
-// least as many substrate invocations, and every watchdog abandonment the
-// systems counted must not exceed what callers were told — timeouts the
-// servers record are a lower bound on what the ledger saw only when no
-// call is refused client-side, so the cross-check is one-directional.
-type ConservationChecker struct {
-	led   *Ledger
-	stats func() core.Stats // aggregated over every system in the sim
-}
-
-// NewConservationChecker builds the checker over the ledger and an
-// aggregated stats snapshot function.
-func NewConservationChecker(led *Ledger, stats func() core.Stats) *ConservationChecker {
-	return &ConservationChecker{led: led, stats: stats}
-}
-
-// Name implements Checker.
-func (c *ConservationChecker) Name() string { return "telemetry-conservation" }
-
-// Check implements Checker.
-func (c *ConservationChecker) Check() []Violation {
-	started, ok, tmo, can, shed, failed, inflight := c.led.Counts()
-	var out []Violation
-	if inflight != 0 {
-		// Not a quiesce point; the equation is only meaningful when every
-		// submitted op has resolved. The explorer quiesces before checking.
-		return nil
-	}
-	if started != ok+tmo+can+shed+failed {
-		out = append(out, Violation{
-			Invariant: c.Name(),
-			Detail: fmt.Sprintf("started %d != ok %d + timeouts %d + cancels %d + sheds %d + failures %d",
-				started, ok, tmo, can, shed, failed),
-		})
-	}
-	if c.stats != nil {
-		st := c.stats()
-		if st.Invocations < ok {
-			out = append(out, Violation{
-				Invariant: c.Name(),
-				Detail: fmt.Sprintf("substrate invocations %d < completed calls %d",
-					st.Invocations, ok),
-			})
-		}
-	}
-	return out
 }

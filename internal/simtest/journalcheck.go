@@ -8,7 +8,7 @@ import (
 	"lateral/internal/journal"
 )
 
-// ---- Invariant 6: auditor replay equals ground truth -----------------
+// ---- journal-audit: auditor replay equals ground truth --------------
 
 // JournalChecker replays the harness journal from genesis after every
 // step and demands the auditor's view equals the live pool's trust state

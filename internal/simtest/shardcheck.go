@@ -7,7 +7,7 @@ import (
 	"lateral/internal/shard"
 )
 
-// ---- Invariant 9: shard placement is enforced ------------------------
+// ---- shard-placement: shard placement is enforced -------------------
 
 // ShardChecker verifies the sharded-routing contract: every reading lands
 // on the shard that a map current during its operation assigns its key,
