@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,8 +25,10 @@ import (
 	"lateral/internal/hw"
 	"lateral/internal/journal"
 	"lateral/internal/legacy"
+	"lateral/internal/netsim"
 	"lateral/internal/policy"
 	"lateral/internal/securechan"
+	"lateral/internal/sgx"
 	"lateral/internal/simtest"
 	"lateral/internal/vpfs"
 )
@@ -246,9 +249,13 @@ func FuzzDistributedFrame(f *testing.F) {
 // the canonical-form oracle the policy and journal fuzzers use: whatever
 // DecodeBatch accepts, ReencodeBatch must reproduce byte-identically
 // (the codec admits exactly one encoding per batch), and reencoding the
-// canonical form is the identity. Seeds mix well-formed batches,
-// truncations at every field boundary, duplicate readings, reserved ops,
-// and whole v2/v3 request frames fed in as batch payloads.
+// canonical form is the identity. Every input also runs as a batch frame
+// through a live stub and exporter, whose decode loop is DecodeBatch's: an
+// accepted batch must run exactly its readings and get one reply entry
+// each, and a refused one must fail the frame having run none. Seeds mix
+// well-formed batches, truncations at every field boundary, a valid
+// reading ahead of a truncated one, duplicate readings, reserved ops, and
+// whole v2/v3 request frames fed in as batch payloads.
 func FuzzBatchFrameDecode(f *testing.F) {
 	one, _ := distributed.EncodeBatch([]distributed.Reading{{Op: "reading", Data: []byte("meter-1=\x05")}})
 	many, _ := distributed.EncodeBatch([]distributed.Reading{
@@ -275,16 +282,30 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, one...), 0))                  // trailing byte
 	f.Add(append(append([]byte{}, many...), many...))           // duplicated batch payload
 	f.Add([]byte{0, 1, 0, 5, 0, 'b', 'a', 't', 'c', 'h', 0, 0}) // reserved op
+	// A valid put ahead of a truncated reading: it must not run.
+	f.Add([]byte{0, 2, 0, 3, 'p', 'u', 't', 0, 3, 'z', '=', '9', 0, 3, 'p', 'u', 't', 0, 5, 'z'})
 	// Framing confusion: whole request frames, one carrying a batch, fed
 	// where a batch payload belongs.
 	f.Add(distributed.AppendRequest(nil, distributed.Request{
 		Span: core.Span{Trace: 7, ID: 9}, Budget: time.Second, Corr: 41, Op: "put", Data: []byte("doc")}))
 	f.Add(distributed.AppendRequest(nil, distributed.Request{
 		Corr: 42, Op: distributed.BatchOp, Data: one}))
+	stub, sink := fuzzBatchExporter(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		canon, err := distributed.ReencodeBatch(data)
+		before := sink.handled.Load()
+		reply, ferr := stub.Handle(core.Envelope{Msg: core.Message{Op: distributed.BatchOp, Data: data}})
+		ran := sink.handled.Load() - before
 		if err != nil {
+			if ferr == nil || ran != 0 {
+				t.Fatalf("refused batch %x: frame error %v after %d readings ran, want a failed frame that ran none", data, ferr, ran)
+			}
 			return
+		}
+		want := int64(binary.BigEndian.Uint16(data))
+		if ferr != nil || ran != want || reply.Op != distributed.BatchOp ||
+			len(reply.Data) < 2 || int64(binary.BigEndian.Uint16(reply.Data)) != want {
+			t.Fatalf("accepted batch of %d: frame error %v, %d readings ran, reply %q %x", want, ferr, ran, reply.Op, reply.Data)
 		}
 		if !bytes.Equal(canon, data) {
 			t.Fatalf("accepted batch not canonical: %x reencoded to %x", data, canon)
@@ -297,6 +318,62 @@ func FuzzBatchFrameDecode(f *testing.F) {
 			t.Fatalf("canonical form unstable: %x vs %x", canon, again)
 		}
 	})
+}
+
+// batchSink is the exported component behind FuzzBatchFrameDecode's
+// exporter: it counts the readings that reach it.
+type batchSink struct{ handled atomic.Int64 }
+
+func (*batchSink) CompName() string     { return "sink" }
+func (*batchSink) CompVersion() string  { return "1.0" }
+func (*batchSink) Init(*core.Ctx) error { return nil }
+func (s *batchSink) Handle(core.Envelope) (core.Message, error) {
+	s.handled.Add(1)
+	return core.Message{Op: "ok"}, nil
+}
+
+// fuzzBatchExporter exports a batchSink and returns a connected stub that
+// pumps the exporter inline, so every call's readings have reached the
+// sink by the time it returns.
+func fuzzBatchExporter(f *testing.F) (*distributed.Stub, *batchSink) {
+	net := netsim.New()
+	sub, err := sgx.New(sgx.Config{DeviceSeed: "fuzz-cpu", Vendor: cryptoutil.NewSigner("intel")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sys := core.NewSystem(sub)
+	sink := &batchSink{}
+	if err := sys.Launch(sink, true, 1); err != nil {
+		f.Fatal(err)
+	}
+	if err := sys.InitAll(); err != nil {
+		f.Fatal(err)
+	}
+	exp, err := distributed.NewExporter(distributed.ExportConfig{
+		System:    sys,
+		Component: "sink",
+		Endpoint:  net.Attach("cloud"),
+		Identity:  cryptoutil.NewSigner("cloud-tls"),
+		Rand:      cryptoutil.NewPRNG("fuzz-srv"),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stub, err := distributed.NewStub(distributed.StubConfig{
+		RemoteName:     "sink",
+		RemoteEndpoint: "cloud",
+		Endpoint:       net.Attach("laptop"),
+		Rand:           cryptoutil.NewPRNG("fuzz-cli"),
+		VerifyServer:   func(ed25519.PublicKey, [32]byte, []byte) error { return nil },
+		Pump:           exp.Serve,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := stub.Connect(); err != nil {
+		f.Fatal(err)
+	}
+	return stub, sink
 }
 
 // FuzzCoalescedRecord is the record-level oracle. Every request and reply

@@ -176,6 +176,85 @@ func TestAdmissionLimitZeroUnbounded(t *testing.T) {
 	}
 }
 
+// TestDeliverBatchAdmitsOnce: a batch frame is booked per message but
+// admitted once. Into a busy slot at the admission limit the whole frame
+// is shed, every message with ErrOverloaded; under the limit it waits as
+// one queued caller, then runs every message under one hold of the slot.
+func TestDeliverBatchAdmitsOnce(t *testing.T) {
+	sys := newTestSystem(t)
+	g := &gateComp{name: "g", gate: make(chan struct{})}
+	if err := sys.Launch(g, false, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.InitAll(); err != nil {
+		t.Fatal(err)
+	}
+	msgs := []Message{{Op: "a"}, {Op: "b"}, {Op: "c"}}
+	var errs []error
+	collect := func(_ Message, err error) { errs = append(errs, err) }
+	wantEach := func(what string, target error) {
+		t.Helper()
+		if len(errs) != len(msgs) {
+			t.Fatalf("%s: %d replies for %d messages", what, len(errs), len(msgs))
+		}
+		for i, err := range errs {
+			if !errors.Is(err, target) {
+				t.Errorf("%s: message %d got %v, want %v", what, i, err, target)
+			}
+		}
+		errs = nil
+	}
+
+	sys.DeliverBatch("nobody", Envelope{}, msgs, collect)
+	wantEach("unknown target", ErrNoDomain)
+
+	// A lone unguarded delivery holds the slot without an admission count.
+	held := make(chan error, 1)
+	go func() {
+		_, err := sys.Deliver("g", Message{Op: "hold"})
+		held <- err
+	}()
+	for g.inside.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	sys.SetAdmissionLimit(1)
+	sys.DeliverBatch("g", Envelope{}, msgs, collect)
+	wantEach("busy slot at limit 1", ErrOverloaded)
+
+	sys.SetAdmissionLimit(2)
+	framed := make(chan struct{})
+	go func() {
+		sys.DeliverBatch("g", Envelope{}, msgs, collect)
+		close(framed)
+	}()
+	for sys.nodes["g"].admitted.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	// The queued frame is one caller: a second one reaches the limit.
+	if _, err := sys.Deliver("g", Message{Op: "late"}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("caller behind a queued frame at limit 2: %v, want ErrOverloaded", err)
+	}
+	close(g.gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	<-framed
+	wantEach("queued frame", nil)
+	if n := g.handled.Load(); n != 1+int32(len(msgs)) {
+		t.Errorf("handled %d, want the holder and the queued frame's %d", n, len(msgs))
+	}
+	if max := g.maxInside.Load(); max != 1 {
+		t.Errorf("max concurrent Handle = %d, want 1", max)
+	}
+	st := sys.Stats()
+	if want := int64(2*len(msgs) + 2); st.Invocations != want {
+		t.Errorf("Invocations = %d, want %d: every message of a resolved frame is booked", st.Invocations, want)
+	}
+	if want := int64(len(msgs) + 1); st.Overloads != want {
+		t.Errorf("Overloads = %d, want %d", st.Overloads, want)
+	}
+}
+
 // mirrorComp echoes the request data back without allocating.
 type mirrorComp struct{}
 

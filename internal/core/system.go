@@ -379,7 +379,8 @@ func (s *System) DeliverCtx(ctx context.Context, target string, msg Message) (Me
 // reusing the buffer). The distributed exporter uses it so a decrypted
 // request can be dispatched straight from a pooled record buffer.
 func (s *System) DeliverShared(target string, msg Message, parent Span, deadline time.Time) (Message, error) {
-	return s.deliverEnv(nil, target, msg, parent, deadline, nil)
+	env := Envelope{Msg: msg, Span: parent, Deadline: deadline}
+	return s.deliverEnv(nil, target, &env)
 }
 
 // DeliverEnvelope injects an external stimulus described by a prebuilt
@@ -390,7 +391,42 @@ func (s *System) DeliverShared(target string, msg Message, parent Span, deadline
 // another machine; the installed Policy judges that taint at this deliver
 // boundary before the target runs.
 func (s *System) DeliverEnvelope(target string, env Envelope) (Message, error) {
-	return s.deliverEnv(nil, target, env.Msg, env.Span, env.Deadline, env.Taint)
+	env.From, env.Badge = "", 0 // external input has no channel identity
+	return s.deliverEnv(nil, target, &env)
+}
+
+// DeliverBatch delivers msgs to target as one frame, handing each
+// message's reply to each, in order. frame carries the span, deadline and
+// taint the messages share; frame.Msg is ignored. Each message is booked,
+// policy-checked, traced and observed as its own DeliverEnvelope would
+// be, but the frame resolves the target and reads the hooks once, so a
+// SetPolicy, SetTracer or Compromise that lands mid-frame applies from the
+// next frame. An unbudgeted frame is admitted once, the way one unguarded
+// call is, and runs every handler under that one hold of the execution
+// slot; shed at the admission limit, every message fails with
+// ErrOverloaded. A budgeted frame delivers each message guarded against
+// the one frame deadline. Like DeliverEnvelope it borrows the payloads: a
+// budgeted frame's caller must clone them, since the watchdog may abandon
+// a handler still reading one.
+func (s *System) DeliverBatch(target string, frame Envelope, msgs []Message, each func(reply Message, err error)) {
+	var d delivery
+	if err := s.resolve(&d, target, len(msgs)); err != nil {
+		for range msgs {
+			each(Message{}, err)
+		}
+		return
+	}
+	var slot *frameSlot
+	if frame.Deadline.IsZero() {
+		slot = &frameSlot{}
+		defer slot.release(d.n)
+	}
+	env := Envelope{Deadline: frame.Deadline}
+	for _, m := range msgs {
+		// deliverOne rewrites the span and taint it is handed.
+		env.Msg, env.Span, env.Taint = m, frame.Span, frame.Taint
+		each(s.deliverOne(nil, &d, &env, slot))
+	}
 }
 
 // deliver is the single entry point behind every Deliver variant. A nil
@@ -399,71 +435,108 @@ func (s *System) DeliverEnvelope(target string, env Envelope) (Message, error) {
 // context.Context interface calls (Done, Deadline) that even a Background
 // context would cost on every hop.
 func (s *System) deliver(ctx context.Context, target string, msg Message, parent Span, deadline time.Time) (Message, error) {
-	return s.deliverEnv(ctx, target, Message{Op: msg.Op, Data: msg.CloneData()}, parent, deadline, nil)
+	env := Envelope{Msg: Message{Op: msg.Op, Data: msg.CloneData()}, Span: parent, Deadline: deadline}
+	return s.deliverEnv(ctx, target, &env)
 }
 
-// deliverEnv is deliver after the ownership decision: msg is placed in the
-// envelope as-is. deliver clones; DeliverShared passes the caller's buffer
-// through under the borrow contract documented there.
-func (s *System) deliverEnv(ctx context.Context, target string, msg Message, parent Span, deadline time.Time, taint []string) (Message, error) {
+// deliverEnv is deliver after the ownership decision: env.Msg is placed in
+// the envelope as-is, and env.Span is the parent span. deliver clones;
+// DeliverShared and DeliverEnvelope pass the caller's buffer through under
+// the borrow contract documented there. It is the one-message case of
+// DeliverBatch: the same resolve, then the same per-message step.
+func (s *System) deliverEnv(ctx context.Context, target string, env *Envelope) (Message, error) {
+	var d delivery
+	if err := s.resolve(&d, target, 1); err != nil {
+		return Message{}, err
+	}
+	return s.deliverOne(ctx, &d, env, nil)
+}
+
+// delivery is an external delivery's resolved target and the hooks read
+// for it, once for however many messages it carries.
+type delivery struct {
+	target      string
+	n           *node
+	compromised bool
+	obs         Observer
+	tr          Tracer
+	pol         Policy
+}
+
+// resolve looks target up, books count invocations of it, and reads the
+// hooks into d, all under one s.mu hold.
+func (s *System) resolve(d *delivery, target string, count int) error {
 	s.mu.Lock()
 	n, ok := s.nodes[target]
 	if !ok {
 		s.mu.Unlock()
-		return Message{}, fmt.Errorf("deliver to %s: %w", target, ErrNoDomain)
+		return fmt.Errorf("deliver to %s: %w", target, ErrNoDomain)
 	}
-	s.account(n)
-	compromised := n.dom.compromised
-	obs := s.observer
-	tr := s.tracer
-	pol := s.policy
-	if tr != nil && parent == (Span{}) && s.sampleEvery > 1 {
-		// Head sampling: decide once at the trace root. An unsampled
-		// request runs the untraced fast path end to end; continuations
-		// of a remote trace (non-zero parent) always honor the upstream
-		// decision instead of rolling their own.
-		s.sampleCtr++
-		if s.sampleCtr%s.sampleEvery != 0 {
-			tr = nil
-		}
-	}
-	var sp Span
+	s.account(n, int64(count))
+	d.target, d.n, d.compromised = target, n, n.dom.compromised
+	d.obs, d.tr, d.pol = s.observer, s.tracer, s.policy
+	s.mu.Unlock()
+	return nil
+}
+
+// deliverOne is one message of a resolved delivery: head sampling and the
+// deliver span, the policy check at the deliver boundary, then dispatch.
+// env.Span holds the parent span on entry and the deliver span (zero when
+// untraced) after. slot is an unbudgeted batch frame's admission, nil for
+// everything else.
+func (s *System) deliverOne(ctx context.Context, d *delivery, env *Envelope, slot *frameSlot) (Message, error) {
+	tr := d.tr
+	parent := env.Span
+	env.Span = Span{}
 	var info SpanInfo
 	if tr != nil {
-		sp = s.newSpan(parent)
+		s.mu.Lock()
+		if parent == (Span{}) && s.sampleEvery > 1 {
+			// Head sampling: decide once at the trace root. An unsampled
+			// request runs the untraced fast path end to end; continuations
+			// of a remote trace (non-zero parent) always honor the upstream
+			// decision instead of rolling their own.
+			s.sampleCtr++
+			if s.sampleCtr%s.sampleEvery != 0 {
+				tr = nil
+			}
+		}
+		if tr != nil {
+			env.Span = s.newSpan(parent)
+		}
+		s.mu.Unlock()
 		info = SpanInfo{
 			Kind:    SpanDeliver,
-			To:      target,
-			Domain:  n.domainName,
-			Trusted: n.dom.handle.Trusted(),
-			Op:      msg.Op,
-			Bytes:   len(msg.Data),
+			To:      d.target,
+			Domain:  d.n.domainName,
+			Trusted: d.n.dom.handle.Trusted(),
+			Op:      env.Msg.Op,
+			Bytes:   len(env.Msg.Data),
 		}
 	}
-	s.mu.Unlock()
-	env := Envelope{Msg: msg, Span: sp, Deadline: deadline, Taint: taint}
-	if pol != nil {
+	sp := env.Span
+	if d.pol != nil {
 		// The deliver boundary is where wire-imported taint is judged:
 		// the chain continuing here already touched whatever the taint
 		// names, possibly on another machine.
-		acquire, perr := pol.CheckInvoke(PolicyRequest{
-			Taint: taint, Channel: PolicyDeliver, To: target, Op: msg.Op,
+		acquire, perr := d.pol.CheckInvoke(PolicyRequest{
+			Taint: env.Taint, Channel: PolicyDeliver, To: d.target, Op: env.Msg.Op,
 		})
 		if perr != nil {
-			perr = fmt.Errorf("deliver to %s: %w", target, perr)
-			s.notePolicyDeny(perr, target, sp)
+			perr = fmt.Errorf("deliver to %s: %w", d.target, perr)
+			s.notePolicyDeny(perr, d.target, sp)
 			return Message{}, perr
 		}
 		if len(acquire) > 0 {
-			env.Taint = MergeTaint(taint, acquire)
+			env.Taint = MergeTaint(env.Taint, acquire)
 		}
 	}
 	if tr == nil {
-		return s.dispatch(ctx, n, &env, compromised, obs, nil)
+		return s.dispatch(ctx, d.n, env, d.compromised, d.obs, nil, slot)
 	}
 	start := s.now()
 	tr.SpanStart(sp, info, start)
-	reply, err := s.dispatch(ctx, n, &env, compromised, obs, tr)
+	reply, err := s.dispatch(ctx, d.n, env, d.compromised, d.obs, tr, slot)
 	tr.SpanEnd(sp, info, start, s.now().Sub(start), err)
 	return reply, err
 }
@@ -483,7 +556,7 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 	}
 	taint := from.taint
 	ch.uses++
-	s.account(ch.to)
+	s.account(ch.to, 1)
 	fromCompromised := from.dom.compromised
 	toCompromised := ch.to.dom.compromised
 	obs := s.observer
@@ -545,7 +618,7 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 		start = s.now()
 		tr.SpanStart(sp, info, start)
 	}
-	reply, err := s.dispatch(ctx, ch.to, &env, toCompromised, obs, tr)
+	reply, err := s.dispatch(ctx, ch.to, &env, toCompromised, obs, tr, nil)
 	if tr != nil {
 		tr.SpanEnd(sp, info, start, s.now().Sub(start), err)
 	}
@@ -556,13 +629,13 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 	return reply, err
 }
 
-// account updates cost counters for an invocation into node n.
+// account updates cost counters for count invocations into node n.
 // Caller holds s.mu.
-func (s *System) account(n *node) {
-	s.stats.Invocations++
-	s.stats.VirtualNs += s.props.InvokeCostNs
+func (s *System) account(n *node, count int64) {
+	s.stats.Invocations += count
+	s.stats.VirtualNs += count * s.props.InvokeCostNs
 	if n.dom.handle.Trusted() {
-		s.stats.TrustedInvocations++
+		s.stats.TrustedInvocations += count
 	}
 }
 
@@ -573,7 +646,9 @@ func (s *System) account(n *node) {
 // compromised, obs, and tr are the caller's snapshots, read under s.mu in
 // call/deliver — dispatch itself takes no lock on the untraced path; the
 // node's budget/span bookkeeping happens under its execution slot in run.
-func (s *System) dispatch(ctx context.Context, n *node, env *Envelope, compromised bool, obs Observer, tr Tracer) (Message, error) {
+// slot is an unbudgeted batch frame's admission (see DeliverBatch), nil
+// for every other call.
+func (s *System) dispatch(ctx context.Context, n *node, env *Envelope, compromised bool, obs Observer, tr Tracer, slot *frameSlot) (Message, error) {
 	// guarded: the call carries a budget or a cancelable context, so it
 	// must run under the watchdog. Computed once here; the unguarded path
 	// skips every budget check downstream.
@@ -607,11 +682,20 @@ func (s *System) dispatch(ctx context.Context, n *node, env *Envelope, compromis
 		}
 	}
 	if tr == nil {
+		if slot != nil {
+			return s.invokeFramed(n, env, compromised, obs, slot)
+		}
 		return s.invoke(ctx, n, env, guarded, compromised, obs)
 	}
 	start := s.now()
 	tr.SpanStart(sp, info, start)
-	reply, err := s.invoke(ctx, n, env, guarded, compromised, obs)
+	var reply Message
+	var err error
+	if slot != nil {
+		reply, err = s.invokeFramed(n, env, compromised, obs, slot)
+	} else {
+		reply, err = s.invoke(ctx, n, env, guarded, compromised, obs)
+	}
 	tr.SpanEnd(sp, info, start, s.now().Sub(start), err)
 	return reply, err
 }
@@ -632,7 +716,9 @@ func (s *System) dispatch(ctx context.Context, n *node, env *Envelope, compromis
 //     when the count would exceed limit.
 //
 // Both sheds refuse the call at the same total occupancy: limit callers
-// inside or waiting on the component.
+// inside or waiting on the component. dispatch hands a message of an
+// unbudgeted batch frame to invokeFramed instead, which runs it under the
+// frame's one admission.
 func (s *System) invoke(ctx context.Context, n *node, env *Envelope, guarded, compromised bool, obs Observer) (Message, error) {
 	if !guarded {
 		if n.handleMu.TryLock() {
@@ -657,10 +743,7 @@ func (s *System) invoke(ctx context.Context, n *node, env *Envelope, guarded, co
 // three defer sites across branches push invoke past the compiler's
 // open-coding budget and put heap defer records on every call.
 func (s *System) invokeQueued(n *node, env *Envelope, compromised bool, obs Observer) (Message, error) {
-	limit := s.admitLimit.Load()
-	if w := n.admitted.Add(1); limit > 0 && w >= limit {
-		n.admitted.Add(-1)
-		err := fmt.Errorf("%s: %d callers queued: %w", n.comp.CompName(), w, ErrOverloaded)
+	if err := s.enqueue(n); err != nil {
 		s.noteBudgetErr(err, n.comp.CompName(), env.Span)
 		return Message{}, err
 	}
@@ -668,6 +751,58 @@ func (s *System) invokeQueued(n *node, env *Envelope, compromised bool, obs Obse
 	n.handleMu.Lock()
 	defer n.handleMu.Unlock()
 	return s.run(n, env, compromised, obs)
+}
+
+// enqueue counts an unguarded caller that found n's slot busy into its
+// admission queue, or refuses it with ErrOverloaded when waiters would
+// exceed limit-1. The caller decrements n.admitted once it is done.
+func (s *System) enqueue(n *node) error {
+	limit := s.admitLimit.Load()
+	if w := n.admitted.Add(1); limit > 0 && w >= limit {
+		n.admitted.Add(-1)
+		return fmt.Errorf("%s: %d callers queued: %w", n.comp.CompName(), w, ErrOverloaded)
+	}
+	return nil
+}
+
+// frameSlot is an unbudgeted batch frame's one admission into its target's
+// execution slot. The first message that reaches the slot admits the
+// frame the way invoke admits one unguarded call; every later message
+// runs under the same hold, or fails with the same shed; DeliverBatch
+// releases the slot when the frame is done.
+type frameSlot struct {
+	tried   bool  // the frame's first message tried the slot
+	counted bool  // the slot was busy: the frame holds an admission count
+	shed    error // the frame was refused at the admission limit
+}
+
+// invokeFramed runs one message of an unbudgeted batch frame under the
+// frame's admission, taking it on the frame's first message.
+func (s *System) invokeFramed(n *node, env *Envelope, compromised bool, obs Observer, f *frameSlot) (Message, error) {
+	if !f.tried {
+		f.tried = true
+		if !n.handleMu.TryLock() {
+			if f.shed = s.enqueue(n); f.shed == nil {
+				f.counted = true
+				n.handleMu.Lock()
+			}
+		}
+	}
+	if f.shed != nil {
+		s.noteBudgetErr(f.shed, n.comp.CompName(), env.Span)
+		return Message{}, f.shed
+	}
+	return s.run(n, env, compromised, obs)
+}
+
+// release gives back what the frame's admission took.
+func (f *frameSlot) release(n *node) {
+	if f.tried && f.shed == nil {
+		n.handleMu.Unlock()
+	}
+	if f.counted {
+		n.admitted.Add(-1)
+	}
 }
 
 // run executes the component's benign or compromised behavior. The caller

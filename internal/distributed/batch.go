@@ -4,10 +4,13 @@
 // payload — so it rides every existing mechanism unchanged: correlation
 // IDs (a batch pipelines like any other call), the budget field (one
 // deadline governs the whole batch), and the taint field (the chain's
-// labels apply to every reading it carries). The exporter unpacks the
-// batch server-side, fans the readings into the component one by one, and
-// seals a single reply carrying per-reading status — N invocations, two
-// AEAD passes total instead of 2N.
+// labels apply to every reading it carries). The exporter parses the whole
+// payload first, so a malformed frame runs no reading at all, then hands
+// the readings to core as one delivery (core.System.DeliverBatch): one
+// target lookup, one hook snapshot and one admission per frame, every
+// handler run under one hold of the component's execution slot. It seals
+// a single reply carrying per-reading status — N invocations, two AEAD
+// passes total instead of 2N.
 //
 // Wire format of the batch payload (all integers big-endian):
 //
@@ -36,6 +39,8 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"lateral/internal/core"
@@ -55,11 +60,9 @@ const MaxBatchReadings = 4096
 // maxBatchBody bounds one per-reading reply body (a uint16 length field).
 const maxBatchBody = 1 << 16
 
-// Reading is one (op, data) invocation inside a batch.
-type Reading struct {
-	Op   string
-	Data []byte
-}
+// Reading is one (op, data) invocation inside a batch: a core.Message, so
+// a decoded frame goes to core as it is.
+type Reading = core.Message
 
 // BatchResult is one reading's outcome from a HandleBatch call. Msg.Data,
 // when non-empty, aliases the batch reply buffer — owned by the caller of
@@ -140,57 +143,84 @@ func cutBatchCount(b []byte) (int, []byte, error) {
 	return n, b, nil
 }
 
-// cutReading parses one reading off the front of b. The returned op bytes
-// and data alias b; ops, when non-nil, interns the op string.
-func cutReading(b []byte, ops *interner) (op string, data, rest []byte, err error) {
+// opCache turns one frame's op bytes into strings. A reading whose op
+// bytes match the previous reading's reuses that string, so a frame of one
+// op converts it, and takes the interner's lock, once.
+type opCache struct {
+	ops  *interner // nil: a fresh string per run of equal ops
+	last string
+}
+
+func (c *opCache) op(b []byte) string {
+	if string(b) != c.last {
+		if c.ops != nil {
+			c.last = c.ops.intern(b)
+		} else {
+			c.last = string(b)
+		}
+	}
+	return c.last
+}
+
+// cutReading parses one reading off the front of b. The reading's data
+// aliases b.
+func cutReading(b []byte, ops *opCache) (Reading, []byte, error) {
 	if len(b) < 2 {
-		return "", nil, nil, fmt.Errorf("truncated reading op length: %w", ErrTransport)
+		return Reading{}, nil, fmt.Errorf("truncated reading op length: %w", ErrTransport)
 	}
 	on := int(b[0])<<8 | int(b[1])
 	b = b[2:]
 	if len(b) < on {
-		return "", nil, nil, fmt.Errorf("truncated reading op: %w", ErrTransport)
+		return Reading{}, nil, fmt.Errorf("truncated reading op: %w", ErrTransport)
 	}
 	if on > 0 && b[0] == 0 {
-		return "", nil, nil, fmt.Errorf("reserved op in batch: %w", ErrTransport)
+		return Reading{}, nil, fmt.Errorf("reserved op in batch: %w", ErrTransport)
 	}
-	if ops != nil {
-		op = ops.intern(b[:on])
-	} else {
-		op = string(b[:on])
-	}
+	op := ops.op(b[:on])
 	b = b[on:]
 	if len(b) < 2 {
-		return "", nil, nil, fmt.Errorf("truncated reading data length: %w", ErrTransport)
+		return Reading{}, nil, fmt.Errorf("truncated reading data length: %w", ErrTransport)
 	}
 	dn := int(b[0])<<8 | int(b[1])
 	b = b[2:]
 	if len(b) < dn {
-		return "", nil, nil, fmt.Errorf("truncated reading data: %w", ErrTransport)
+		return Reading{}, nil, fmt.Errorf("truncated reading data: %w", ErrTransport)
 	}
-	return op, b[:dn], b[dn:], nil
+	return Reading{Op: op, Data: b[:dn]}, b[dn:], nil
+}
+
+// decodeBatch appends the readings of one batch payload (see AppendBatch)
+// to dst. It is the one decode loop: DecodeBatch, and so the fuzz oracle,
+// runs it, and so does the exporter, with its interner and a pooled dst.
+// The readings' data aliases b. Truncated payloads, out-of-range counts,
+// reserved ops, and trailing bytes are all rejected with ErrTransport.
+func decodeBatch(b []byte, dst []Reading, ops *interner) ([]Reading, error) {
+	n, rest, err := cutBatchCount(b)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	cache := opCache{ops: ops}
+	for i := 0; i < n; i++ {
+		var r Reading
+		if r, rest, err = cutReading(rest, &cache); err != nil {
+			return dst, err
+		}
+		dst = append(dst, r)
+	}
+	if len(rest) != 0 {
+		return dst, fmt.Errorf("%d trailing bytes after batch: %w", len(rest), ErrTransport)
+	}
+	return dst, nil
 }
 
 // DecodeBatch parses one batch payload (see AppendBatch). The readings'
-// ops and data alias b. Truncated payloads, out-of-range counts, reserved
-// ops, and trailing bytes are all rejected with ErrTransport.
+// data aliases b. Truncated payloads, out-of-range counts, reserved ops,
+// and trailing bytes are all rejected with ErrTransport.
 func DecodeBatch(b []byte) ([]Reading, error) {
-	n, rest, err := cutBatchCount(b)
+	readings, err := decodeBatch(b, nil, nil)
 	if err != nil {
 		return nil, err
-	}
-	readings := make([]Reading, 0, n)
-	for i := 0; i < n; i++ {
-		var op string
-		var data []byte
-		op, data, rest, err = cutReading(rest, nil)
-		if err != nil {
-			return nil, err
-		}
-		readings = append(readings, Reading{Op: op, Data: data})
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after batch: %w", len(rest), ErrTransport)
 	}
 	return readings, nil
 }
@@ -207,52 +237,45 @@ func ReencodeBatch(b []byte) ([]byte, error) {
 	return AppendBatch(make([]byte, 0, len(b)), readings), nil
 }
 
-// runBatch unpacks one batch request, fans its readings into the exported
-// component one at a time (the per-component handler lock serializes them
-// regardless), and builds the reply payload carrying per-reading status
-// into a pooled buffer, returned for the caller to release after the reply
-// is sealed. A malformed batch payload fails the whole frame instead; once
-// the payload parses, each reading succeeds or fails on its own.
+// readingsPool recycles the exporter's decoded readings, one slice per
+// batch in flight.
+var readingsPool = sync.Pool{New: func() any { return new([]Reading) }}
+
+// runBatch runs one batch request: it parses the whole payload first, so
+// a malformed batch fails the frame before any reading runs, then delivers
+// the readings to the exported component as one core delivery
+// (core.System.DeliverBatch) and builds the reply payload carrying
+// per-reading status into a pooled buffer, returned for the caller to
+// release after the reply is sealed. Once the payload parses, each reading
+// succeeds or fails on its own.
 func (e *Exporter) runBatch(req *Request, now time.Time) (core.Message, *[]byte, error) {
-	n, rest, err := cutBatchCount(req.Data)
+	rp := readingsPool.Get().(*[]Reading)
+	readings, err := decodeBatch(req.Data, (*rp)[:0], &e.ops)
+	defer func() {
+		clear(readings) // drop the payloads a pooled slice would keep alive
+		*rp = readings[:0]
+		readingsPool.Put(rp)
+	}()
 	if err != nil {
 		return core.Message{}, nil, err
 	}
-	var deadline time.Time
+	frame := core.Envelope{Span: req.Span, Taint: req.Taint}
 	if req.Budget > 0 {
 		// One budget governs the whole batch: every reading is delivered
 		// against the same re-anchored deadline, so a batch cannot buy
-		// more server time than the single call it replaces.
-		deadline = now.Add(req.Budget)
+		// more server time than the single call it replaces. Guarded
+		// delivery clones each payload, same as invoke: the watchdog may
+		// abandon a handler mid-read of a pooled buffer.
+		frame.Deadline = now.Add(req.Budget)
+		for i := range readings {
+			readings[i].Data = readings[i].CloneData()
+		}
 	}
 	fp := getBuf()
-	out := append((*fp)[:0], byte(n>>8), byte(n))
-	for i := 0; i < n; i++ {
-		var op string
-		var data []byte
-		op, data, rest, err = cutReading(rest, &e.ops)
-		if err != nil {
-			putBuf(fp, out)
-			return core.Message{}, nil, err
-		}
-		env := core.Envelope{
-			Msg:   core.Message{Op: op, Data: data},
-			Span:  req.Span,
-			Taint: req.Taint,
-		}
-		if !deadline.IsZero() {
-			// Guarded delivery clones the payload, same as invoke: the
-			// watchdog may abandon the handler mid-read of a pooled buffer.
-			env.Deadline = deadline
-			env.Msg.Data = env.Msg.CloneData()
-		}
-		reply, herr := e.sys.DeliverEnvelope(e.target, env)
+	out := append((*fp)[:0], byte(len(readings)>>8), byte(len(readings)))
+	e.sys.DeliverBatch(e.target, frame, readings, func(reply core.Message, herr error) {
 		out = appendBatchEntry(out, reply, herr)
-	}
-	if len(rest) != 0 {
-		putBuf(fp, out)
-		return core.Message{}, nil, fmt.Errorf("%d trailing bytes after batch: %w", len(rest), ErrTransport)
-	}
+	})
 	return core.Message{Op: BatchOp, Data: out}, fp, nil
 }
 
@@ -321,6 +344,7 @@ func (s *Stub) HandleBatch(env core.Envelope, readings []Reading, results []Batc
 
 // decodeBatchReply parses the batch reply payload into per-reading
 // results. OK payload data aliases b (the owned reply copy Handle made).
+// Ops go through one opCache, so a frame of one reply op interns it once.
 func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]BatchResult, error) {
 	if len(b) < 2 {
 		return results, fmt.Errorf("truncated batch reply count: %w", ErrTransport)
@@ -330,6 +354,7 @@ func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]Ba
 		return results, fmt.Errorf("batch reply carries %d entries for %d readings: %w", n, want, ErrTransport)
 	}
 	rest := b[2:]
+	ops := opCache{ops: &s.ops}
 	for i := 0; i < n; i++ {
 		if len(rest) < 3 {
 			return results, fmt.Errorf("truncated batch reply entry: %w", ErrTransport)
@@ -344,12 +369,12 @@ func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]Ba
 		rest = rest[bn:]
 		switch status {
 		case statusOK:
-			op, data, err := decodeCallInto(body, &s.ops)
+			op, data, err := splitCall(body)
 			if err != nil {
 				results = append(results, BatchResult{Err: err})
 				continue
 			}
-			m := core.Message{Op: op}
+			m := core.Message{Op: ops.op(op)}
 			if len(data) > 0 {
 				m.Data = data
 			}

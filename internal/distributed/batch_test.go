@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,10 +214,171 @@ func TestBatchMalformedPayloadFailsWholeFrame(t *testing.T) {
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("malformed batch: want remote error, got %v", err)
 	}
-	// The session survives: a well-formed batch right after succeeds.
-	results, err := f.stub.HandleBatch(core.Envelope{}, []Reading{{Op: "put", Data: []byte("y=2")}}, nil)
+	// A valid put ahead of a truncated reading: the payload is parsed
+	// before any reading runs, so the failed frame ran nothing, and a
+	// retry of it cannot count the put twice.
+	before := f.cloudSys.Stats().Invocations
+	_, err = f.stub.Handle(core.Envelope{Msg: core.Message{
+		Op: BatchOp, Data: []byte{0, 2, 0, 3, 'p', 'u', 't', 0, 3, 'z', '=', '9', 0, 3, 'p', 'u', 't', 0, 5, 'z'},
+	}})
+	if !errors.Is(err, ErrRemote) {
+		t.Fatalf("valid prefix, truncated reading: want remote error, got %v", err)
+	}
+	if ran := f.cloudSys.Stats().Invocations - before; ran != 0 {
+		t.Fatalf("failed frame ran %d readings, want 0", ran)
+	}
+	// The session survives: a well-formed batch right after succeeds, and
+	// the store never held the prefix's key.
+	results, err := f.stub.HandleBatch(core.Envelope{}, []Reading{
+		{Op: "put", Data: []byte("y=2")},
+		{Op: "get", Data: []byte("z")},
+	}, nil)
 	if err != nil || results[0].Err != nil {
 		t.Fatalf("session did not survive malformed batch: %v %v", err, results)
+	}
+	if !errors.Is(results[1].Err, ErrRemote) || !strings.Contains(results[1].Err.Error(), "no such doc") {
+		t.Fatalf("get z after the failed frame: want no such doc, got %+v", results[1])
+	}
+}
+
+// denyOp is a policy refusing every external delivery of one op.
+type denyOp string
+
+func (d denyOp) CheckInvoke(req core.PolicyRequest) ([]string, error) {
+	if req.Channel == core.PolicyDeliver && req.Op == string(d) {
+		return nil, fmt.Errorf("op %s: %w", req.Op, core.ErrPolicy)
+	}
+	return nil, nil
+}
+
+// denyCount counts the policy denies a system journals.
+type denyCount struct{ n atomic.Int32 }
+
+func (d *denyCount) RecordEvent(kind, _, _ string, _, _ uint64) {
+	if kind == "policy-deny" {
+		d.n.Add(1)
+	}
+}
+
+// TestBatchUnderHooks: a batch frame is one core delivery, yet each
+// reading keeps what its own delivery would get — its policy verdict, its
+// deliver and handle spans, its guard against the frame's budget, and the
+// frame's one admission into a busy slot.
+func TestBatchUnderHooks(t *testing.T) {
+	puts := []Reading{
+		{Op: "put", Data: []byte("a=1")},
+		{Op: "put", Data: []byte("b=2")},
+		{Op: "put", Data: []byte("c=3")},
+	}
+	cases := []struct {
+		name     string
+		readings []Reading
+		budget   time.Duration
+		// setup installs the case's hooks on f and returns its check.
+		setup func(t *testing.T, f *fixture) func(results []BatchResult)
+	}{
+		{
+			name:     "policy denies one op",
+			readings: []Reading{puts[0], {Op: "get", Data: []byte("a")}, puts[1]},
+			setup: func(t *testing.T, f *fixture) func([]BatchResult) {
+				rec := &denyCount{}
+				f.cloudSys.SetEventRecorder(rec)
+				f.cloudSys.SetPolicy(denyOp("get"))
+				return func(results []BatchResult) {
+					for i, r := range results {
+						if i == 1 && !errors.Is(r.Err, core.ErrPolicy) || i != 1 && r.Err != nil {
+							t.Errorf("reading %d: %v, want ErrPolicy only for the get", i, r.Err)
+						}
+					}
+					if n := rec.n.Load(); n != 1 {
+						t.Errorf("%d policy denies journaled, want 1", n)
+					}
+				}
+			},
+		},
+		{
+			name:     "tracer installed",
+			readings: puts,
+			setup: func(t *testing.T, f *fixture) func([]BatchResult) {
+				sink := &spanSink{}
+				f.cloudSys.SetTracer(sink)
+				return func(results []BatchResult) {
+					for i, r := range results {
+						if r.Err != nil {
+							t.Errorf("reading %d: %v", i, r.Err)
+						}
+					}
+					spans := map[core.SpanKind]int{}
+					for _, k := range sink.kinds {
+						spans[k]++
+					}
+					if spans[core.SpanDeliver] != len(puts) || spans[core.SpanHandle] != len(puts) {
+						t.Errorf("spans %v, want one deliver and one handle span per reading", spans)
+					}
+				}
+			},
+		},
+		{
+			name:     "budgeted frame stalls",
+			readings: []Reading{puts[0], {Op: "stall"}, puts[1], puts[2]},
+			budget:   30 * time.Millisecond,
+			setup: func(t *testing.T, f *fixture) func([]BatchResult) {
+				return func(results []BatchResult) {
+					if results[0].Err != nil {
+						t.Errorf("reading before the stall: %v", results[0].Err)
+					}
+					for i, r := range results[1:] {
+						if !errors.Is(r.Err, core.ErrDeadline) {
+							t.Errorf("reading %d: %v, want ErrDeadline from the stall on", i+1, r.Err)
+						}
+					}
+				}
+			},
+		},
+		{
+			name:     "unbudgeted frame into a held slot",
+			readings: puts,
+			setup: func(t *testing.T, f *fixture) func([]BatchResult) {
+				f.cloudSys.SetAdmissionLimit(1)
+				// An abandoned 100ms stall keeps the store's slot, as in
+				// TestRemoteOverloadTyped.
+				if _, err := f.stub.Handle(core.Envelope{
+					Msg:      core.Message{Op: "stall"},
+					Deadline: time.Now().Add(10 * time.Millisecond),
+				}); !errors.Is(err, core.ErrDeadline) {
+					t.Fatalf("stall: got %v, want ErrDeadline", err)
+				}
+				return func(results []BatchResult) {
+					for i, r := range results {
+						if !errors.Is(r.Err, core.ErrOverloaded) {
+							t.Errorf("reading %d: %v, want ErrOverloaded", i, r.Err)
+						}
+					}
+					time.Sleep(120 * time.Millisecond) // let the abandoned handler drain
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, nil, false)
+			if err := f.stub.Connect(); err != nil {
+				t.Fatal(err)
+			}
+			check := tc.setup(t, f)
+			var env core.Envelope
+			if tc.budget > 0 {
+				env.Deadline = time.Now().Add(tc.budget)
+			}
+			results, err := f.stub.HandleBatch(env, tc.readings, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(tc.readings) {
+				t.Fatalf("%d results for %d readings", len(results), len(tc.readings))
+			}
+			check(results)
+		})
 	}
 }
 
@@ -266,14 +428,15 @@ func TestBatchIngestZeroAllocPerReading(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchIngest measures the batched hot path per reading;
-// bench-smoke runs it once to catch rot.
+// BenchmarkBatchIngest measures the batched hot path in frames of 64
+// readings, the shard batcher's frame size, and reports its CPU cost per
+// reading as ns/reading; bench-smoke runs it once to catch rot.
 func BenchmarkBatchIngest(b *testing.B) {
 	f := newFixture(b, nil, false)
 	if err := f.stub.Connect(); err != nil {
 		b.Fatal(err)
 	}
-	const batch = 16
+	const batch = 64
 	puts := make([]Reading, batch)
 	readings := make([]Reading, batch)
 	for i := range readings {
@@ -292,4 +455,5 @@ func BenchmarkBatchIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/reading")
 }

@@ -131,20 +131,26 @@ func decodeCall(b []byte) (string, []byte, error) {
 // decodeCallInto is decodeCall with an optional interner for the op
 // string. The returned data slice aliases b.
 func decodeCallInto(b []byte, ops *interner) (string, []byte, error) {
+	op, data, err := splitCall(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if ops != nil {
+		return ops.intern(op), data, nil
+	}
+	return string(op), data, nil
+}
+
+// splitCall splits a call frame into its op bytes and data, both aliasing b.
+func splitCall(b []byte) (op, data []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, fmt.Errorf("short call frame: %w", ErrTransport)
+		return nil, nil, fmt.Errorf("short call frame: %w", ErrTransport)
 	}
 	n := int(b[0])<<8 | int(b[1])
 	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("truncated op: %w", ErrTransport)
+		return nil, nil, fmt.Errorf("truncated op: %w", ErrTransport)
 	}
-	var op string
-	if ops != nil {
-		op = ops.intern(b[2 : 2+n])
-	} else {
-		op = string(b[2 : 2+n])
-	}
-	return op, b[2+n:], nil
+	return b[2 : 2+n], b[2+n:], nil
 }
 
 // PingOp is the reserved liveness-probe operation. The Exporter answers
@@ -749,9 +755,10 @@ func (e *Exporter) dispatch(jobsp *[]*job) {
 }
 
 // invoke runs one decoded request against the exported component, its
-// budget re-anchored at now. A batch unpacks its readings into the
-// component one by one (see batch.go), and bb is then the pooled buffer
-// behind msg.Data, which the caller releases once the reply is sealed.
+// budget re-anchored at now. A batch goes to the component as one core
+// delivery of its readings (see batch.go), and bb is then the pooled
+// buffer behind msg.Data, which the caller releases once the reply is
+// sealed.
 func (e *Exporter) invoke(req *Request, now time.Time) (msg core.Message, bb *[]byte, err error) {
 	if req.Op == BatchOp {
 		return e.runBatch(req, now)

@@ -295,7 +295,8 @@ func E23Sharding() (Table, error) {
 	}
 	quotaOK := errors.Is(qerr, core.ErrOverloaded) && after == before && denied == 1
 	t.AddRow("tenant quota refuses burst untouched", epoch,
-		fmt.Sprintf("%d-reading burst vs quota %d: typed refusal, %d readings reached a shard", len(burst), 2*e23Batch, after-before))
+		fmt.Sprintf("%d-reading burst vs quota %d: %s, denials %d, %d readings reached a shard",
+			len(burst), 2*e23Batch, outcomeCell(qerr), denied, after-before))
 	t.Check("tenant quota refuses burst untouched", quotaOK,
 		"want a typed overload, nothing processed, one denial")
 
