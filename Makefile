@@ -24,10 +24,11 @@ test:
 	$(GO) test ./...
 
 # The invocation hot path is lock-sensitive end to end — tracing, the
-# deadline watchdog, the wire budget, and failover routing: run every
-# package on that path under the race detector on each tier-1 pass.
+# deadline watchdog, the wire budget, failover routing and shard routing:
+# run every package on that path under the race detector on each tier-1
+# pass.
 race-hotpath:
-	$(GO) test -race ./internal/telemetry ./internal/core ./internal/distributed ./internal/cluster
+	$(GO) test -race ./internal/telemetry ./internal/core ./internal/distributed ./internal/cluster ./internal/shard
 
 race:
 	$(GO) test -race ./...

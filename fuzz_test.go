@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -81,8 +82,15 @@ func FuzzServerRespond(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Must not panic; errors are fine.
-		_, _, _ = server.Respond(data)
+		// Must not panic; errors are fine. An accepted hello has exactly
+		// one encoding: one byte more is a trailing byte, refused.
+		if _, _, err := server.Respond(data); err != nil {
+			return
+		}
+		longer := append(append([]byte(nil), data...), 0)
+		if _, _, err := server.Respond(longer); !errors.Is(err, securechan.ErrHandshake) {
+			t.Fatalf("hello accepted, but with a trailing byte Respond = %v, want ErrHandshake", err)
+		}
 	})
 }
 

@@ -153,3 +153,12 @@ func (s *System) notePolicyDeny(err error, actor string, sp Span) {
 		rec.RecordEvent("policy-deny", actor, err.Error(), sp.Trace, sp.ID)
 	}
 }
+
+// traceDeny emits the span of a refused delivery or call, the one
+// notePolicyDeny journaled, so the journal entry names a span the tracer
+// holds: it starts and ends at one instant, with the deny as its error.
+func (s *System) traceDeny(tr Tracer, sp Span, info SpanInfo, err error) {
+	now := s.now()
+	tr.SpanStart(sp, info, now)
+	tr.SpanEnd(sp, info, now, 0, err)
+}

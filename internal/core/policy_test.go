@@ -24,16 +24,18 @@ func (r *rulebook) CheckInvoke(req PolicyRequest) ([]string, error) {
 	return r.confer[req.Channel], nil
 }
 
-// sinkRecorder collects journaled events.
+// sinkRecorder collects journaled events and the span ID each names.
 type sinkRecorder struct {
 	mu     sync.Mutex
 	events []string
+	spans  []uint64
 }
 
 func (s *sinkRecorder) RecordEvent(kind, actor, detail string, trace, span uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.events = append(s.events, kind+":"+actor)
+	s.spans = append(s.spans, span)
 }
 
 func (s *sinkRecorder) has(e string) bool {
@@ -138,6 +140,53 @@ func TestPolicyDeniesTaintedEgress(t *testing.T) {
 	// The taint died with its chain: a fresh delivery is untainted again.
 	if _, err := sys.Deliver("deputy", Message{Op: "send"}); err != nil {
 		t.Fatalf("post-deny untainted send: %v", err)
+	}
+}
+
+// TestPolicyDenyIsTraced refuses a traced delivery and a traced call: the
+// span each policy-deny journal entry names must be one the tracer saw
+// start and end, with no elapsed time and ErrPolicy as its error.
+func TestPolicyDenyIsTraced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		deny string // the channel the rulebook refuses unconditionally
+		kind SpanKind
+	}{
+		{"deliver", PolicyDeliver, SpanDeliver},
+		{"call", "to-net", SpanCall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, _ := buildPolicySystem(t)
+			rec, tr := &sinkRecorder{}, &collectTracer{}
+			sys.SetEventRecorder(rec)
+			sys.SetTracer(tr)
+			sys.SetPolicy(&rulebook{deny: map[string]string{tc.deny: ""}})
+			if _, err := sys.Deliver("deputy", Message{Op: "send"}); !errors.Is(err, ErrPolicy) {
+				t.Fatalf("err = %v, want ErrPolicy", err)
+			}
+			if len(rec.events) != 1 || rec.events[0] != "policy-deny:deputy" || rec.spans[0] == 0 {
+				t.Fatalf("journal = %v with spans %v, want one traced policy-deny", rec.events, rec.spans)
+			}
+			id := rec.spans[0]
+			started := false
+			for _, s := range tr.starts {
+				started = started || s.ID == id
+			}
+			if !started {
+				t.Errorf("journaled span %d never started", id)
+			}
+			for i, s := range tr.ends {
+				if s.ID != id {
+					continue
+				}
+				if tr.infos[i].Kind != tc.kind || tr.elapsed[i] != 0 || !errors.Is(tr.errs[i], ErrPolicy) {
+					t.Errorf("denied span ended as %v after %v with %v, want %v after 0 with ErrPolicy",
+						tr.infos[i].Kind, tr.elapsed[i], tr.errs[i], tc.kind)
+				}
+				return
+			}
+			t.Errorf("journaled span %d never ended", id)
+		})
 	}
 }
 

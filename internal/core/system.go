@@ -525,6 +525,9 @@ func (s *System) deliverOne(ctx context.Context, d *delivery, env *Envelope, slo
 		if perr != nil {
 			perr = fmt.Errorf("deliver to %s: %w", d.target, perr)
 			s.notePolicyDeny(perr, d.target, sp)
+			if tr != nil {
+				s.traceDeny(tr, sp, info, perr)
+			}
 			return Message{}, perr
 		}
 		if len(acquire) > 0 {
@@ -597,6 +600,9 @@ func (s *System) call(ctx context.Context, from *node, channelName string, msg M
 		if perr != nil {
 			perr = fmt.Errorf("%s calling %q: %w", from.comp.CompName(), channelName, perr)
 			s.notePolicyDeny(perr, from.comp.CompName(), sp)
+			if tr != nil {
+				s.traceDeny(tr, sp, info, perr)
+			}
 			return Message{}, perr
 		}
 		if len(acquire) > 0 {

@@ -6,19 +6,29 @@ import (
 	"time"
 )
 
-// collectTracer keeps every completed span for assertions.
+// collectTracer keeps every started span, and every completed span with
+// its elapsed time and error, for assertions.
 type collectTracer struct {
-	mu    sync.Mutex
-	ends  []Span
-	infos []SpanInfo
+	mu      sync.Mutex
+	starts  []Span
+	ends    []Span
+	infos   []SpanInfo
+	elapsed []time.Duration
+	errs    []error
 }
 
-func (c *collectTracer) SpanStart(Span, SpanInfo, time.Time) {}
+func (c *collectTracer) SpanStart(sp Span, _ SpanInfo, _ time.Time) {
+	c.mu.Lock()
+	c.starts = append(c.starts, sp)
+	c.mu.Unlock()
+}
 
-func (c *collectTracer) SpanEnd(sp Span, info SpanInfo, _ time.Time, _ time.Duration, _ error) {
+func (c *collectTracer) SpanEnd(sp Span, info SpanInfo, _ time.Time, d time.Duration, err error) {
 	c.mu.Lock()
 	c.ends = append(c.ends, sp)
 	c.infos = append(c.infos, info)
+	c.elapsed = append(c.elapsed, d)
+	c.errs = append(c.errs, err)
 	c.mu.Unlock()
 }
 

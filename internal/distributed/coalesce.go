@@ -9,10 +9,10 @@
 // N requests. A lone caller's flush seals a record of one sub-frame: the
 // coalesced record is the only record format on the wire. The queue only
 // ever holds callers that are waiting, so it needs no other cap. The
-// exporter unseals once and runs the record as one job: its sub-frames
-// execute in header order on one goroutine (core serializes the exported
-// component's handlers anyway), and their replies go back the same way,
-// sealed as one coalesced reply record.
+// exporter unseals once and runs the record on its Serve goroutine before
+// it reads the next datagram: the sub-frames execute in header order (core
+// serializes the exported component's handlers anyway), and their replies
+// go back the same way, sealed as one coalesced reply record.
 //
 // Wire format of a coalesced record (all integers big-endian):
 //
@@ -556,15 +556,16 @@ func (e *Exporter) takeFault() (mode string, idx int) {
 	return mode, idx
 }
 
-// openRecord opens one request record and queues it as one job. The
+// openRecord opens one request record into j, for the caller to run. The
 // header is the record's extra AD, so a tampered count or correlation
 // table fails the open. The body's framing is checked here too — a count
 // equal to the header's, a valid length for every sub-frame, no trailing
 // bytes — so a malformed record is dropped before any of its sub-frames
 // runs; the same walk notes whether any sub-frame carries a budget. The
 // header is copied in front of the plaintext because the datagram holding
-// it is released before the job runs.
-func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, jobs *[]*job) error {
+// it is released before the record runs. Opening holds openMu, so records
+// open in arrival order even across concurrent Serve passes.
+func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, j *job) error {
 	hdr, sealed, n, err := cutCoalHeader(dg.Payload)
 	if err != nil {
 		dg.Release()
@@ -607,24 +608,23 @@ func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, jobs *[]*job) e
 		putBuf(ob, raw)
 		return err
 	}
-	j := jobPool.Get().(*job)
-	j.ss, j.from, j.buf, j.raw, j.drop, j.budgeted = ss, dg.From, ob, raw, -1, budgeted
+	*j = job{ss: ss, from: dg.From, buf: ob, raw: raw, drop: -1, budgeted: budgeted}
 	if fmode == "drop" {
 		j.drop = fidx
 	}
-	*jobs = append(*jobs, j)
 	return nil
 }
 
-// executeRecord runs a record's sub-frames in header order on the calling
-// goroutine and seals their replies as one coalesced reply record, under
-// the request header minus any sub-frame the fault hook dropped (a record
-// that lost every sub-frame sends nothing). The request's pooled buffer is
-// released only after the reply is sealed, because a reply may alias the
-// request data (an echo). Every budget is anchored on one clock read taken
-// as the record starts — taken only when a sub-frame carries a budget — so
-// time a sub-frame spends behind its siblings is spent from its own
-// budget, as it would be in the caller's pipeline. A ping is answered
+// executeRecord runs an opened record's sub-frames in header order on
+// Serve's goroutine and seals their replies as one coalesced reply record
+// under sendMu, under the request header minus any sub-frame the fault
+// hook dropped (a record that lost every sub-frame sends nothing). The request's pooled buffer is released only after the reply
+// is sealed, because a reply may alias the request data (an echo). Every
+// budget is anchored on one clock read taken as the record starts — taken
+// only when a sub-frame carries a budget — so time a sub-frame spends
+// behind its siblings is spent from its own budget, as it would be in the
+// caller's pipeline; a record queued behind an earlier record of the same
+// pass anchors when it starts, not when it arrived. A ping is answered
 // inline without reaching the component; a sub-frame that fails to decode,
 // or whose correlation ID disagrees with the AD-bound header, gets a
 // statusErr reply and its siblings are unaffected.

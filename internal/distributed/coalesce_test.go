@@ -133,6 +133,16 @@ func newCoalClient(t *testing.T, f *fixture, name string) *coalClient {
 // false when no reply record came back at all.
 func (c *coalClient) call(t *testing.T, subs []coalSub) (replies map[uint64][]byte, replied bool, serveErr error) {
 	t.Helper()
+	c.send(t, subs)
+	serveErr = c.f.exporter.Serve()
+	replies, replied = c.reply(t)
+	return replies, replied, serveErr
+}
+
+// send seals one coalesced record carrying the given sub-frames and
+// transmits it without serving it.
+func (c *coalClient) send(t *testing.T, subs []coalSub) {
+	t.Helper()
 	corrs := make([]uint64, len(subs))
 	frames := make([][]byte, len(subs))
 	for i, s := range subs {
@@ -159,10 +169,16 @@ func (c *coalClient) call(t *testing.T, subs []coalSub) (replies map[uint64][]by
 	if err := c.ep.Send("cloud", rec); err != nil {
 		t.Fatal(err)
 	}
-	serveErr = c.f.exporter.Serve()
+}
+
+// reply receives the next reply record and returns its decrypted
+// sub-frames keyed by correlation ID; replied is false when none is
+// waiting.
+func (c *coalClient) reply(t *testing.T) (replies map[uint64][]byte, replied bool) {
+	t.Helper()
 	dg, ok := c.ep.Recv()
 	if !ok {
-		return nil, false, serveErr
+		return nil, false
 	}
 	rcorrs, sealed, err := DecodeCoalHeader(dg.Payload)
 	if err != nil {
@@ -188,7 +204,7 @@ func (c *coalClient) call(t *testing.T, subs []coalSub) (replies map[uint64][]by
 		}
 		replies[corr] = append([]byte(nil), sub[8:]...)
 	}
-	return replies, true, serveErr
+	return replies, true
 }
 
 type coalSub struct {
@@ -422,6 +438,45 @@ func TestCoalescedRecordRunsInOrder(t *testing.T) {
 	replies, ok, err := c.call(t, subs)
 	if err != nil || !ok || len(replies) != len(subs) {
 		t.Fatalf("serve = %v, replied = %v, %d replies", err, ok, len(replies))
+	}
+	for i := 0; i < 4; i++ {
+		r := replies[uint64(2*i+2)]
+		if len(r) == 0 || r[0] != statusOK {
+			t.Fatalf("get %d reply = % x, want statusOK", i, r)
+		}
+		if _, data, err := decodeCall(r[1:]); err != nil || string(data) != fmt.Sprint(i) {
+			t.Errorf("get after put a=%d read %q, %v", i, data, err)
+		}
+	}
+}
+
+// TestServeRunsRecordsInArrivalOrder sends eight one-sub-frame records,
+// alternating puts and gets of one key, before a single Serve pass: every
+// get must read the value of the put sealed just before it, because a
+// pass runs its records one at a time in arrival order.
+func TestServeRunsRecordsInArrivalOrder(t *testing.T) {
+	f := newFixture(t, nil, false)
+	c := newCoalClient(t, f, "arrival")
+
+	for i := 0; i < 4; i++ {
+		c.send(t, []coalSub{{corr: uint64(2*i + 1), op: "put", data: []byte(fmt.Sprintf("a=%d", i))}})
+		c.send(t, []coalSub{{corr: uint64(2*i + 2), op: "get", data: []byte("a")}})
+	}
+	if err := f.exporter.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	replies := make(map[uint64][]byte)
+	for {
+		r, ok := c.reply(t)
+		if !ok {
+			break
+		}
+		for corr, sub := range r {
+			replies[corr] = sub
+		}
+	}
+	if len(replies) != 8 {
+		t.Fatalf("%d replies, want 8", len(replies))
 	}
 	for i := 0; i < 4; i++ {
 		r := replies[uint64(2*i+2)]

@@ -454,8 +454,9 @@ type Exporter struct {
 	pendings map[string]*pendState
 
 	// hsMu serializes hellos (which draw from rand) and handshake
-	// finishes (Pending.Complete) across Serve passes, which pumps may
-	// run concurrently. Record traffic never takes it.
+	// finishes (Pending.Complete) across concurrent Serve passes: pumps
+	// on different goroutines may serve at once, as a health round beside
+	// a caller's round does. Record traffic never takes it.
 	hsMu sync.Mutex
 
 	ops interner
@@ -473,10 +474,11 @@ type pendState struct {
 }
 
 // sessState is one peer's established session plus the locks that keep the
-// secure channel's sequence discipline under concurrent dispatch: openMu
-// serializes decryption (arrival order fixes the receive sequence), sendMu
-// serializes seal+transmit so reply records hit the wire in seal (= send
-// sequence) order — the peer's channel rejects reordered sequences.
+// secure channel's sequence discipline under concurrent Serve passes:
+// openMu serializes decryption (arrival order fixes the receive sequence),
+// sendMu serializes seal+transmit so reply records hit the wire in seal
+// (= send sequence) order — the peer's channel rejects reordered
+// sequences.
 type sessState struct {
 	openMu sync.Mutex
 	sendMu sync.Mutex
@@ -484,12 +486,14 @@ type sessState struct {
 	epoch  uint64 // config epoch the session was keyed at
 }
 
-// job is one unit of exporter work: one opened request record. raw holds
-// the record's cleartext header followed by its decrypted body, and buf is
-// the pooled buffer behind it, which every sub-frame aliases, so the
-// buffer is released only after the reply has been sealed. drop is the
-// index of the sub-frame the fault hook removed, or -1; budgeted reports
-// that some sub-frame carries a budget, so the record needs a clock read.
+// job is one opened request record, filled by openRecord and run by
+// executeRecord; Serve owns it as a plain value on its own frame. raw
+// holds the record's cleartext header followed by its decrypted body, and
+// buf is the pooled buffer behind it, which every sub-frame aliases, so
+// the buffer is released only after the reply has been sealed. drop is
+// the index of the sub-frame the fault hook removed, or -1; budgeted
+// reports that some sub-frame carries a budget, so the record needs a
+// clock read.
 type job struct {
 	ss       *sessState
 	from     string
@@ -498,17 +502,6 @@ type job struct {
 	drop     int
 	budgeted bool
 }
-
-// jobPool recycles job structs across serveBatch passes. A pipelining
-// client lands one job per in-flight call per wire round; without the
-// pool each of those was a fresh heap allocation, which is exactly the
-// allocs/op growth with pipeline depth that E22's allocs/op caps catch.
-var jobPool = sync.Pool{New: func() any { return new(job) }}
-
-// batchPool recycles the per-batch job slice (capacity included), so a
-// steady pipelining load reuses one backing array per concurrent batch
-// instead of regrowing it every wire round.
-var batchPool = sync.Pool{New: func() any { s := make([]*job, 0, 16); return &s }}
 
 // ExportConfig configures an Exporter.
 type ExportConfig struct {
@@ -532,17 +525,6 @@ type ExportConfig struct {
 	// remote deadlines stay on the same timeline as the hosting system's.
 	Clock func() time.Time
 }
-
-// DefaultWorkers bounds concurrent dispatch when one Serve pass finds more
-// than smallBatch jobs queued. The exported component itself stays
-// serialized by core's per-component handler lock; workers buy concurrency
-// across seal and across colocated targets, and keep one slow record from
-// convoying the replies behind it.
-const DefaultWorkers = 4
-
-// smallBatch is the backlog size at or below which serveBatch dispatches
-// inline rather than fanning out worker goroutines.
-const smallBatch = 4
 
 // NewExporter validates the config and builds the exporter. Evidence for
 // remote verifiers is produced from the hosting substrate's trust anchor,
@@ -615,12 +597,14 @@ func (e *Exporter) evidence(transcript [32]byte) ([]byte, error) {
 	return q.Encode(), nil
 }
 
-// Serve processes every pending datagram on the endpoint once: handshake
-// flights establish sessions, record flights carry invocations. The
-// backlog is decrypted in arrival order and its jobs — one per record —
-// run inline when there are at most smallBatch of them and across
-// DefaultWorkers goroutines otherwise, with all replies on the wire before
-// Serve returns. A hostile or garbled datagram is dropped without failing
+// Serve processes every pending datagram on the endpoint once, in arrival
+// order, on the calling goroutine: handshake flights establish sessions,
+// and a record flight is opened, run and its reply sealed and sent before
+// the next datagram is read, so every reply is on the wire before Serve
+// returns. The exported component's handlers run one call at a time in
+// core anyway, so the records of one pass run one after another; a
+// handshake flight that arrives behind a record is handled once that
+// record has run. A hostile or garbled datagram is dropped without failing
 // the service (fail closed per connection), so Serve always returns nil.
 // Tests and the examples call it after each client step; a real
 // deployment would loop it.
@@ -630,32 +614,16 @@ func (e *Exporter) Serve() error {
 		if !ok {
 			return nil
 		}
-		e.serveBatch(dg)
-	}
-}
-
-// serveBatch drains the backlog behind first and dispatches it. The
-// channel layer — handshakes, decrypt, ping — runs sequentially in arrival
-// order (the secure channel's receive sequence demands it); the jobs it
-// collects then run on the worker pool.
-func (e *Exporter) serveBatch(first netsim.Datagram) {
-	// The batch slice travels by pointer so the accumulating collect calls
-	// do not box a fresh slice header per wire round.
-	jobsp := batchPool.Get().(*[]*job)
-	_ = e.collect(first, jobsp)
-	for {
-		dg, ok := e.ep.Recv()
-		if !ok {
-			break
+		var j job
+		if e.collect(dg, &j) == nil && j.raw != nil {
+			_ = e.executeRecord(&j)
 		}
-		_ = e.collect(dg, jobsp)
 	}
-	e.dispatch(jobsp)
-	batchPool.Put(jobsp)
 }
 
 // collect runs one datagram through the channel layer: handshake flights
-// complete inline, records decrypt and append their job to jobs. On an
+// complete inline, and a record is opened into j, which the caller then
+// runs (j.raw stays nil when the datagram opened no record). On an
 // established session the first byte tells a record from a handshake
 // flight (see coalesce.go). A datagram that is not a record is no record
 // for this session: a peer that crashed and restarted (or was failed over
@@ -665,7 +633,7 @@ func (e *Exporter) serveBatch(first netsim.Datagram) {
 // live session; a replayed captured hello can at worst force a reset — a
 // denial of service the attacker already has by dropping traffic — never
 // decrypt or forge records.
-func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
+func (e *Exporter) collect(dg netsim.Datagram, j *job) error {
 	e.mu.Lock()
 	ss := e.sessions[dg.From]
 	e.mu.Unlock()
@@ -676,7 +644,7 @@ func (e *Exporter) collect(dg netsim.Datagram, jobs *[]*job) error {
 		}
 	}
 	if IsCoalesced(dg.Payload) {
-		return e.openRecord(ss, dg, jobs)
+		return e.openRecord(ss, dg, j)
 	}
 	if !securechan.HelloShaped(dg.Payload) {
 		return fmt.Errorf("distributed: datagram from %s is neither a record nor a hello: %w", dg.From, ErrTransport)
@@ -709,49 +677,6 @@ func (e *Exporter) handshake(dg netsim.Datagram) (*sessState, error) {
 		// New connection: client hello.
 		return nil, e.hello(dg)
 	}
-}
-
-// dispatch executes the collected jobs and recycles them, leaving the
-// slice empty. Every reply is on the wire before it returns — Serve's
-// contract with lockstep pumps.
-func (e *Exporter) dispatch(jobsp *[]*job) {
-	jobs := *jobsp
-	switch {
-	case len(jobs) == 0:
-	case len(jobs) <= smallBatch:
-		// A shallow batch executes inline: spawning one goroutine per job
-		// costs more than it overlaps (the component handler is serialized
-		// by core regardless), and it was the allocs/op bump pipelined
-		// benchmarks showed at modest depths.
-		for _, j := range jobs {
-			_ = e.executeRecord(j)
-			*j = job{}
-			jobPool.Put(j)
-		}
-	default:
-		n := DefaultWorkers
-		if n > len(jobs) {
-			n = len(jobs)
-		}
-		// Strided partition instead of a feed channel: each worker owns
-		// jobs[w], jobs[w+n], … so the fan-out allocates nothing beyond
-		// the goroutines themselves.
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(jobs); i += n {
-					j := jobs[i]
-					_ = e.executeRecord(j)
-					*j = job{}
-					jobPool.Put(j)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	*jobsp = jobs[:0]
 }
 
 // invoke runs one decoded request against the exported component, its

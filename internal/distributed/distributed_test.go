@@ -371,8 +371,8 @@ func TestGarbledHelloDoesNotKillExporter(t *testing.T) {
 
 // TestGarbageOnEstablishedSessionPreservesIt feeds the exporter datagrams
 // from an established peer's own address that are no record it can open.
-// Each must be dropped: collect returns an error, queues no job and sends
-// no reply, and the put it may carry never applies. The session must
+// Each must be dropped: collect returns an error, opens no record and
+// sends no reply, and the put it may carry never applies. The session must
 // survive it, so the peer's next genuine record still runs. A hello-shaped
 // datagram is the one exception, a session reset, which
 // TestCloseThenReconnect covers.
@@ -421,10 +421,10 @@ func TestGarbageOnEstablishedSessionPreservesIt(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var jobs []*job
-			err := f.exporter.collect(netsim.Datagram{From: "peer", To: "cloud", Payload: tc.datagram(t, c, last)}, &jobs)
-			if !errors.Is(err, tc.want) || len(jobs) != 0 {
-				t.Fatalf("collect = %v with %d jobs, want %v and none", err, len(jobs), tc.want)
+			var j job
+			err := f.exporter.collect(netsim.Datagram{From: "peer", To: "cloud", Payload: tc.datagram(t, c, last)}, &j)
+			if !errors.Is(err, tc.want) || j.raw != nil {
+				t.Fatalf("collect = %v, opened a record = %v, want %v and none", err, j.raw != nil, tc.want)
 			}
 			if dg, ok := c.ep.Recv(); ok {
 				t.Fatalf("exporter answered a dropped datagram: % x", dg.Payload)

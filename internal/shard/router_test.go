@@ -184,6 +184,10 @@ func TestRouterQuotaExhaustionBurnsNoRetry(t *testing.T) {
 	<-started
 	<-started
 	waitInflight(t, rt, "tenant-a", 2)
+	// The router books a reading in flight before its backend call
+	// starts: snapshot the call count only once both parked readings
+	// have reached a backend.
+	waitCalls(t, backends, 2)
 
 	calls0 := totalCalls(backends)
 	if _, err := rt.Do("tenant-a", "tenant-a/meter-9", core.Message{Op: "reading"}); !errors.Is(err, core.ErrOverloaded) {
@@ -240,6 +244,18 @@ func totalCalls(backends map[string]*fakeBackend) int {
 		n += calls
 	}
 	return n
+}
+
+func waitCalls(t *testing.T, backends map[string]*fakeBackend, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if totalCalls(backends) == want {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("backends never reached %d calls", want)
 }
 
 func waitInflight(t *testing.T, rt *Router, tenant string, want int64) {
