@@ -96,7 +96,8 @@ fuzz:
 # transition or exfil denial went unexercised. Then the simtest package
 # and every feature's concurrency pin under the race detector: the fleet
 # under chaos and exactly-once quarantine journaling, the core watchdog
-# and admission bounds, and experiments E19-E21 and E23-E26. Replay a
+# and admission bounds, Serve passes on one exporter running one at a
+# time, and experiments E19-E21 and E23-E26. Replay a
 # failing seed's replayable pass with
 #   go test ./internal/simtest -run TestSoak -simtest.seed=<seed> -v
 soak:
@@ -104,6 +105,7 @@ soak:
 	$(GO) test -race -count=1 ./internal/simtest
 	$(GO) test -race -count=5 -run 'TestSoakUnderChaos|TestQuarantineJournaledExactlyOnce' ./internal/cluster
 	$(GO) test -race -count=5 -run 'TestWatchdog|TestFanInBoundedAdmission' ./internal/core
+	$(GO) test -race -count=5 -run 'TestServePassesNeverOverlap|TestConcurrentServePassesSerializeHandshakes' ./internal/distributed
 	$(GO) test -race -count=5 -run 'TestE20StallContainment|TestE21Simulation' ./internal/experiments
 	$(GO) test -race -count=1 -run 'TestE19ClusterScalesAndSurvivesChaos|TestE23ShardedFleet|TestE24|TestE25|TestE26' ./internal/experiments
 

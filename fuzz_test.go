@@ -139,11 +139,12 @@ func FuzzSessionOpen(f *testing.F) {
 
 // FuzzDistributedFrame covers the call-frame decoder behind the attested
 // channel: the plaintext the exporter parses after a record opens. The
-// invariant is no panic, and whatever decodes must re-encode to bytes that
-// decode to the same (span, budget, corr, op, data) tuple. Seeds mix the
-// optional fields (span, budget, taint) present and absent, truncated
-// fields, unknown future flag bits, and frames without the mandatory
-// correlation ID.
+// invariant is no panic, and whatever decodes must re-encode to the very
+// bytes it was decoded from (a frame has exactly one encoding) and decode
+// again to the same (span, budget, corr, taint, op, data) tuple. Seeds mix
+// the optional fields (span, budget, taint) present and absent, truncated
+// fields, unknown future flag bits, frames without the mandatory
+// correlation ID, and optional fields carried at their zero value.
 func FuzzDistributedFrame(f *testing.F) {
 	untraced := distributed.AppendRequest(nil, distributed.Request{Corr: 1, Op: "put", Data: []byte("doc")})
 	traced := distributed.AppendRequest(nil, distributed.Request{
@@ -228,6 +229,10 @@ func FuzzDistributedFrame(f *testing.F) {
 	// A frame without the correlation field — the retired v2 shape — must
 	// be rejected.
 	f.Add(append([]byte{0}, untraced[9:]...))
+	// Optional fields present at their zero value, which AppendRequest
+	// elides: an all-zero span context and a zero budget must be rejected.
+	f.Add(append(append([]byte{untraced[0] | 1}, make([]byte, 16)...), untraced[1:]...))
+	f.Add(append(append([]byte{untraced[0] | 2}, make([]byte, 8)...), untraced[1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := distributed.DecodeRequest(data)
 		if err != nil {
@@ -237,6 +242,9 @@ func FuzzDistributedFrame(f *testing.F) {
 			t.Fatalf("negative budget %v decoded", req.Budget)
 		}
 		again := distributed.AppendRequest(nil, req)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs: %x from %x", again, data)
+		}
 		req2, err := distributed.DecodeRequest(again)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

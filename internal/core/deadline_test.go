@@ -276,16 +276,18 @@ func TestGuardedDeliverAllocs(t *testing.T) {
 	if err := sys.InitAll(); err != nil {
 		t.Fatal(err)
 	}
-	msg := Message{Op: "put", Data: []byte("0123456789abcdef")}
-	deadline := time.Now().Add(time.Hour)
+	env := Envelope{
+		Msg:      Message{Op: "put", Data: []byte("0123456789abcdef")},
+		Deadline: time.Now().Add(time.Hour),
+	}
 	call := func() {
-		reply, err := sys.DeliverShared("mirror", msg, Span{}, deadline)
-		if err != nil || len(reply.Data) != len(msg.Data) {
+		reply, err := sys.DeliverEnvelope("mirror", env)
+		if err != nil || len(reply.Data) != len(env.Msg.Data) {
 			t.Fatalf("budgeted deliver: %v, %q", err, reply.Data)
 		}
 	}
 	call() // arm the queue's timer and fill the pool
 	if allocs := testing.AllocsPerRun(1000, call); allocs > 1 {
-		t.Fatalf("a budgeted DeliverShared allocates %.2f objects per call, want at most 1", allocs)
+		t.Fatalf("a budgeted DeliverEnvelope allocates %.2f objects per call, want at most 1", allocs)
 	}
 }

@@ -342,20 +342,12 @@ func (s *System) Deliver(target string, msg Message) (Message, error) {
 	return s.deliver(nil, target, msg, Span{}, time.Time{})
 }
 
-// DeliverSpan injects an external stimulus while continuing a causal trace
-// started elsewhere — the distributed exporter uses it to stitch the
-// importing machine's trace onto the machine hosting the exported
-// component. A zero parent starts a fresh trace (Deliver's behavior).
-func (s *System) DeliverSpan(target string, msg Message, parent Span) (Message, error) {
-	return s.deliver(nil, target, msg, parent, time.Time{})
-}
-
-// DeliverDeadline injects an external stimulus under a call budget: the
-// call returns ErrDeadline once the deadline passes, whether it was still
-// queued or mid-handler (the watchdog abandons the handler). The budget
-// propagates to every transitive call the handler makes. A zero deadline
-// means unbounded (DeliverSpan's behavior). The distributed exporter uses
-// it to enforce the wire frame's remaining-budget field server-side.
+// DeliverDeadline injects an external stimulus under a call budget,
+// continuing a causal trace started elsewhere: the call returns
+// ErrDeadline once the deadline passes, whether it was still queued or
+// mid-handler (the watchdog abandons the handler). The budget propagates
+// to every transitive call the handler makes. A zero deadline means
+// unbounded, and a zero parent starts a fresh trace (Deliver's behavior).
 func (s *System) DeliverDeadline(target string, msg Message, parent Span, deadline time.Time) (Message, error) {
 	return s.deliver(nil, target, msg, parent, deadline)
 }
@@ -371,25 +363,18 @@ func (s *System) DeliverCtx(ctx context.Context, target string, msg Message) (Me
 	return s.deliver(ctx, target, msg, Span{}, deadline)
 }
 
-// DeliverShared is DeliverDeadline without the defensive message clone: the
-// envelope borrows msg.Data for the duration of the call. The caller must
-// keep the backing buffer untouched until the call returns, and the target
-// component must not retain Data beyond its Handle invocation (replies that
-// alias the request data are fine — the caller consumes the reply before
-// reusing the buffer). The distributed exporter uses it so a decrypted
-// request can be dispatched straight from a pooled record buffer.
-func (s *System) DeliverShared(target string, msg Message, parent Span, deadline time.Time) (Message, error) {
-	env := Envelope{Msg: msg, Span: parent, Deadline: deadline}
-	return s.deliverEnv(nil, target, &env)
-}
-
 // DeliverEnvelope injects an external stimulus described by a prebuilt
 // envelope: span, deadline, and imported chain taint all travel together.
-// Like DeliverShared it does not clone the payload — the borrow contract
-// documented there applies. The distributed exporter uses it to deliver a
-// decoded wire frame whose taint field continues a chain started on
-// another machine; the installed Policy judges that taint at this deliver
-// boundary before the target runs.
+// Unlike DeliverDeadline it does not clone the payload: the envelope
+// borrows env.Msg.Data for the duration of the call. The caller must keep
+// the backing buffer untouched until the call returns, and the target
+// component must not retain Data beyond its Handle invocation (replies
+// that alias the request data are fine — the caller consumes the reply
+// before reusing the buffer). The distributed exporter uses it to dispatch
+// a decoded wire frame straight from a pooled record buffer, its taint
+// field continuing a chain started on another machine; the installed
+// Policy judges that taint at this deliver boundary before the target
+// runs.
 func (s *System) DeliverEnvelope(target string, env Envelope) (Message, error) {
 	env.From, env.Badge = "", 0 // external input has no channel identity
 	return s.deliverEnv(nil, target, &env)
@@ -441,9 +426,9 @@ func (s *System) deliver(ctx context.Context, target string, msg Message, parent
 
 // deliverEnv is deliver after the ownership decision: env.Msg is placed in
 // the envelope as-is, and env.Span is the parent span. deliver clones;
-// DeliverShared and DeliverEnvelope pass the caller's buffer through under
-// the borrow contract documented there. It is the one-message case of
-// DeliverBatch: the same resolve, then the same per-message step.
+// DeliverEnvelope passes the caller's buffer through under the borrow
+// contract documented there. It is the one-message case of DeliverBatch:
+// the same resolve, then the same per-message step.
 func (s *System) deliverEnv(ctx context.Context, target string, env *Envelope) (Message, error) {
 	var d delivery
 	if err := s.resolve(&d, target, 1); err != nil {

@@ -113,8 +113,8 @@ func (s *System) SetTracer(t Tracer) {
 // delivered requests (head sampling). The decision is made once, at the
 // trace root: a sampled request is traced end to end — every call, handler,
 // and asset span it causes — while an unsampled request runs the untraced
-// fast path throughout. Continuations of a remote trace (DeliverSpan with a
-// non-zero parent) always honor the upstream machine's decision, so
+// fast path throughout. Continuations of a remote trace (a delivery with a
+// non-zero parent span) always honor the upstream machine's decision, so
 // distributed traces never arrive half-stitched. n <= 1 restores the
 // default of tracing every request.
 func (s *System) SetTraceSampling(n int) {

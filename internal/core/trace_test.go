@@ -165,7 +165,7 @@ func TestDeliverSpanAdoptsRemoteParent(t *testing.T) {
 	tr := &collectTracer{}
 	sys.SetTracer(tr)
 	parent := Span{Trace: 0xabc, ID: 0x123}
-	if _, err := sys.DeliverSpan("e", Message{Op: "x"}, parent); err != nil {
+	if _, err := sys.DeliverDeadline("e", Message{Op: "x"}, parent, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	deliver, _, ok := tr.find(SpanDeliver, "e")
@@ -227,7 +227,7 @@ func TestTraceSamplingOneInN(t *testing.T) {
 
 	// Remote continuations bypass the local sampling decision.
 	sys.SetTraceSampling(1 << 20)
-	if _, err := sys.DeliverSpan("a", Message{Op: "get"}, Span{Trace: 0xfeed, ID: 9}); err != nil {
+	if _, err := sys.DeliverDeadline("a", Message{Op: "get"}, Span{Trace: 0xfeed, ID: 9}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := tr.find(SpanDeliver, "a"); !ok {

@@ -37,7 +37,6 @@
 package distributed
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -279,26 +278,13 @@ func (e *Exporter) runBatch(req *Request, now time.Time) (core.Message, *[]byte,
 	return core.Message{Op: BatchOp, Data: out}, fp, nil
 }
 
-// appendBatchEntry appends one per-reading reply entry, mapping the
-// handler error to the same status codes the single-call reply uses.
+// appendBatchEntry appends one per-reading reply entry, its status mapped
+// from the handler error as a single call's reply is.
 func appendBatchEntry(dst []byte, msg core.Message, herr error) []byte {
 	if herr == nil && 2+len(msg.Op)+len(msg.Data) >= maxBatchBody {
 		herr = fmt.Errorf("reading reply exceeds batch entry bounds: %w", ErrTransport)
 	}
-	var status byte
-	switch {
-	case herr == nil:
-		status = statusOK
-	case errors.Is(herr, core.ErrDeadline):
-		status = statusDeadline
-	case errors.Is(herr, core.ErrOverloaded):
-		status = statusOverload
-	case errors.Is(herr, core.ErrPolicy):
-		status = statusPolicy
-	default:
-		status = statusErr
-	}
-	dst = append(dst, status)
+	dst = append(dst, replyStatus(herr))
 	mark := len(dst)
 	dst = append(dst, 0, 0) // body length, patched below
 	if herr != nil {
@@ -367,27 +353,20 @@ func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]Ba
 		}
 		body := rest[:bn]
 		rest = rest[bn:]
-		switch status {
-		case statusOK:
-			op, data, err := splitCall(body)
-			if err != nil {
-				results = append(results, BatchResult{Err: err})
-				continue
-			}
-			m := core.Message{Op: ops.op(op)}
-			if len(data) > 0 {
-				m.Data = data
-			}
-			results = append(results, BatchResult{Msg: m})
-		case statusDeadline:
-			results = append(results, BatchResult{Err: fmt.Errorf("remote: %s: %w", body, core.ErrDeadline)})
-		case statusOverload:
-			results = append(results, BatchResult{Err: fmt.Errorf("remote: %s: %w", body, core.ErrOverloaded)})
-		case statusPolicy:
-			results = append(results, BatchResult{Err: fmt.Errorf("remote: %s: %w", body, core.ErrPolicy)})
-		default:
-			results = append(results, BatchResult{Err: fmt.Errorf("%w: %s", ErrRemote, body)})
+		if status != statusOK {
+			results = append(results, BatchResult{Err: statusError(status, body)})
+			continue
 		}
+		op, data, err := splitCall(body)
+		if err != nil {
+			results = append(results, BatchResult{Err: err})
+			continue
+		}
+		m := core.Message{Op: ops.op(op)}
+		if len(data) > 0 {
+			m.Data = data
+		}
+		results = append(results, BatchResult{Msg: m})
 	}
 	if len(rest) != 0 {
 		return results, fmt.Errorf("%d trailing bytes after batch reply: %w", len(rest), ErrTransport)

@@ -47,7 +47,6 @@ package distributed
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -351,7 +350,9 @@ func (s *Stub) flushQueue() {
 }
 
 // flushBatch seals one coalesced record carrying the drained batch and
-// transmits it. Stale sub-frames (session replaced since enqueue) are
+// transmits it. Only the flush leader runs it, so records reach the wire
+// in send sequence order, as the exporter's channel demands, with no lock
+// of their own. Stale sub-frames (session replaced since enqueue) are
 // dropped: their callers were already resolved by the replacing path's
 // broadcast. A seal or send failure resolves every drained caller whose
 // registration this flush still owns.
@@ -398,12 +399,10 @@ func (s *Stub) flushBatch(batch []*pendingSub) {
 		body = binary.BigEndian.AppendUint32(body, uint32(len(sub.frame)))
 		body = append(body, sub.frame...)
 	}
-	s.sendMu.Lock()
 	rec, err := sess.SealToAD(hdr, body, hdr)
 	if err == nil {
 		err = s.cfg.Endpoint.Send(s.cfg.RemoteEndpoint, rec)
 	}
-	s.sendMu.Unlock()
 	putBuf(bp, body)
 	if rec == nil {
 		rec = hdr
@@ -563,8 +562,8 @@ func (e *Exporter) takeFault() (mode string, idx int) {
 // bytes — so a malformed record is dropped before any of its sub-frames
 // runs; the same walk notes whether any sub-frame carries a budget. The
 // header is copied in front of the plaintext because the datagram holding
-// it is released before the record runs. Opening holds openMu, so records
-// open in arrival order even across concurrent Serve passes.
+// it is released before the record runs. It runs inside a Serve pass, so
+// records open in arrival order.
 func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, j *job) error {
 	hdr, sealed, n, err := cutCoalHeader(dg.Payload)
 	if err != nil {
@@ -572,9 +571,7 @@ func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, j *job) error {
 		return err
 	}
 	ob := getBuf()
-	ss.openMu.Lock()
 	raw, err := ss.sess.OpenToAD(append((*ob)[:0], hdr...), sealed, hdr)
-	ss.openMu.Unlock()
 	dg.Release()
 	if err != nil {
 		putBuf(ob, nil)
@@ -616,17 +613,19 @@ func (e *Exporter) openRecord(ss *sessState, dg netsim.Datagram, j *job) error {
 }
 
 // executeRecord runs an opened record's sub-frames in header order on
-// Serve's goroutine and seals their replies as one coalesced reply record
-// under sendMu, under the request header minus any sub-frame the fault
-// hook dropped (a record that lost every sub-frame sends nothing). The request's pooled buffer is released only after the reply
-// is sealed, because a reply may alias the request data (an echo). Every
-// budget is anchored on one clock read taken as the record starts — taken
-// only when a sub-frame carries a budget — so time a sub-frame spends
-// behind its siblings is spent from its own budget, as it would be in the
-// caller's pipeline; a record queued behind an earlier record of the same
-// pass anchors when it starts, not when it arrived. A ping is answered
-// inline without reaching the component; a sub-frame that fails to decode,
-// or whose correlation ID disagrees with the AD-bound header, gets a
+// Serve's goroutine and seals their replies as one coalesced reply record,
+// under the request header minus any sub-frame the fault hook dropped (a
+// record that lost every sub-frame sends nothing), and sends it before the
+// pass reads its next datagram, so replies reach the wire in seal order.
+// The request's pooled buffer is released only after the reply is sealed,
+// because a reply may alias the request data (an echo). Every budget is
+// anchored on one clock read taken as the record starts — taken only when
+// a sub-frame carries a budget — so time a sub-frame spends behind its
+// siblings is spent from its own budget, as it would be in the caller's
+// pipeline; a record queued behind an earlier record of the same pass
+// anchors when it starts, not when it arrived. A ping is answered inline
+// without reaching the component; a sub-frame that fails to decode, or
+// whose correlation ID disagrees with the AD-bound header, gets a
 // statusErr reply and its siblings are unaffected.
 func (e *Exporter) executeRecord(j *job) error {
 	var now time.Time
@@ -673,12 +672,10 @@ func (e *Exporter) executeRecord(j *job) error {
 		rh[1], rh[2] = byte(kept>>8), byte(kept)
 		body[0], body[1] = byte(kept>>8), byte(kept)
 		var rec []byte
-		j.ss.sendMu.Lock()
 		rec, err = j.ss.sess.SealToAD(rh, body, rh)
 		if err == nil {
 			err = e.ep.Send(j.from, rec)
 		}
-		j.ss.sendMu.Unlock()
 		if rec != nil {
 			rh = rec
 		}
@@ -693,22 +690,9 @@ func (e *Exporter) executeRecord(j *job) error {
 // status byte, payload — to dst: one sub-frame of a reply record.
 func appendReplyFrame(dst []byte, corr uint64, msg core.Message, herr error) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, corr)
-	switch {
-	case errors.Is(herr, core.ErrDeadline):
-		dst = append(dst, statusDeadline)
-		dst = append(dst, herr.Error()...)
-	case errors.Is(herr, core.ErrOverloaded):
-		dst = append(dst, statusOverload)
-		dst = append(dst, herr.Error()...)
-	case errors.Is(herr, core.ErrPolicy):
-		dst = append(dst, statusPolicy)
-		dst = append(dst, herr.Error()...)
-	case herr != nil:
-		dst = append(dst, statusErr)
-		dst = append(dst, herr.Error()...)
-	default:
-		dst = append(dst, statusOK)
-		dst = appendCall(dst, msg.Op, msg.Data)
+	dst = append(dst, replyStatus(herr))
+	if herr != nil {
+		return append(dst, herr.Error()...)
 	}
-	return dst
+	return appendCall(dst, msg.Op, msg.Data)
 }

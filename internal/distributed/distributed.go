@@ -190,7 +190,8 @@ const PongOp = "\x00pong"
 //     not launder it.
 //
 // The span, budget, and taint fields are optional: a frame without those
-// bits decodes with the field zero.
+// bits decodes with the field zero, and a frame that carries one at its
+// zero value is rejected, so a frame has exactly one encoding.
 const (
 	frameTraced = 1 << 0
 	frameBudget = 1 << 1
@@ -210,6 +211,7 @@ const (
 // Request is one decoded invocation frame.
 type Request struct {
 	// Span is the caller's span context; zero when the call is untraced.
+	// Only its trace and span IDs cross the wire.
 	Span core.Span
 
 	// Budget is the remaining call budget the caller granted; 0 means
@@ -233,11 +235,12 @@ type Request struct {
 
 // AppendRequest appends one request frame to dst (allocation-free when dst
 // has spare capacity) and returns the extended slice. Fields are emitted
-// in flag-bit order; see the frame documentation above. A zero span, a
-// non-positive budget, and an empty taint set each elide their field.
+// in flag-bit order; see the frame documentation above. A span with zero
+// trace and span IDs, a non-positive budget, and an empty taint set each
+// elide their field.
 func AppendRequest(dst []byte, req Request) []byte {
 	flags := byte(frameCorr)
-	if req.Span != (core.Span{}) {
+	if req.Span.Trace != 0 || req.Span.ID != 0 {
 		flags |= frameTraced
 	}
 	if req.Budget > 0 {
@@ -266,8 +269,9 @@ func AppendRequest(dst []byte, req Request) []byte {
 }
 
 // DecodeRequest parses one request frame (see AppendRequest). Frames with
-// unknown flag bits, without a correlation ID, or with a truncated span
-// context, budget, or correlation ID are rejected with ErrTransport.
+// unknown flag bits, without a correlation ID, with a truncated span
+// context, budget, or correlation ID, or with a zero span context or
+// budget (forms AppendRequest never emits) are rejected with ErrTransport.
 func DecodeRequest(b []byte) (Request, error) {
 	var req Request
 	err := decodeRequestInto(b, &req, nil)
@@ -290,6 +294,9 @@ func decodeRequestInto(b []byte, req *Request, ops *interner) error {
 		}
 		req.Span.Trace = binary.BigEndian.Uint64(b)
 		req.Span.ID = binary.BigEndian.Uint64(b[8:])
+		if req.Span.Trace == 0 && req.Span.ID == 0 {
+			return fmt.Errorf("zero span context: %w", ErrTransport)
+		}
 		b = b[16:]
 	}
 	if flags&frameBudget != 0 {
@@ -297,6 +304,9 @@ func decodeRequestInto(b []byte, req *Request, ops *interner) error {
 			return fmt.Errorf("truncated budget: %w", ErrTransport)
 		}
 		ns := binary.BigEndian.Uint64(b)
+		if ns == 0 {
+			return fmt.Errorf("zero budget: %w", ErrTransport)
+		}
 		if ns > uint64(1<<62) {
 			return fmt.Errorf("budget overflow %d: %w", ns, ErrTransport)
 		}
@@ -377,6 +387,37 @@ const (
 	statusPolicy   = 4
 )
 
+// replyStatus maps a handler error to its reply status: a single call's
+// reply and each batch reading's entry carry the same codes.
+func replyStatus(herr error) byte {
+	switch {
+	case herr == nil:
+		return statusOK
+	case errors.Is(herr, core.ErrDeadline):
+		return statusDeadline
+	case errors.Is(herr, core.ErrOverloaded):
+		return statusOverload
+	case errors.Is(herr, core.ErrPolicy):
+		return statusPolicy
+	}
+	return statusErr
+}
+
+// statusError rehydrates a failed reply's status and error text into the
+// typed error, so errors.Is works across the wire. Any status but the
+// three typed ones reads as ErrRemote. Formatting copies text.
+func statusError(status byte, text []byte) error {
+	switch status {
+	case statusDeadline:
+		return fmt.Errorf("remote: %s: %w", text, core.ErrDeadline)
+	case statusOverload:
+		return fmt.Errorf("remote: %s: %w", text, core.ErrOverloaded)
+	case statusPolicy:
+		return fmt.Errorf("remote: %s: %w", text, core.ErrPolicy)
+	}
+	return fmt.Errorf("%w: %s", ErrRemote, text)
+}
+
 // Monitor receives stub pipelining telemetry. telemetry.Metrics implements
 // it structurally (the same pattern as cluster.Monitor); a nil Monitor is
 // silently replaced by a no-op.
@@ -433,7 +474,8 @@ type StubStats struct {
 	CoalescedSubs    uint64
 }
 
-// Exporter publishes one component of a local system on the network.
+// Exporter publishes one component of a local system on the network. Its
+// Serve passes run one at a time.
 type Exporter struct {
 	sys      *core.System
 	target   string
@@ -449,15 +491,16 @@ type Exporter struct {
 	// older ones.
 	epoch atomic.Uint64
 
+	// passMu is held across each Serve pass, so only the running pass
+	// touches the channel layer: handshake randomness, and every
+	// session's receive and send sequence. mu guards only the session and
+	// pending tables, which SetEpoch edits from the control plane beside
+	// passes.
+	passMu sync.Mutex
+
 	mu       sync.Mutex
 	sessions map[string]*sessState // peer endpoint -> session
 	pendings map[string]*pendState
-
-	// hsMu serializes hellos (which draw from rand) and handshake
-	// finishes (Pending.Complete) across concurrent Serve passes: pumps
-	// on different goroutines may serve at once, as a health round beside
-	// a caller's round does. Record traffic never takes it.
-	hsMu sync.Mutex
 
 	ops interner
 
@@ -473,17 +516,13 @@ type pendState struct {
 	epoch uint64
 }
 
-// sessState is one peer's established session plus the locks that keep the
-// secure channel's sequence discipline under concurrent Serve passes:
-// openMu serializes decryption (arrival order fixes the receive sequence),
-// sendMu serializes seal+transmit so reply records hit the wire in seal
-// (= send sequence) order — the peer's channel rejects reordered
-// sequences.
+// sessState is one peer's established session and the config epoch it was
+// keyed at. Only the Serve pass holding passMu opens and seals on sess, so
+// records open in arrival order and replies reach the wire in seal order,
+// as the peer's channel demands.
 type sessState struct {
-	openMu sync.Mutex
-	sendMu sync.Mutex
-	sess   *securechan.Session
-	epoch  uint64 // config epoch the session was keyed at
+	sess  *securechan.Session
+	epoch uint64
 }
 
 // job is one opened request record, filled by openRecord and run by
@@ -606,9 +645,18 @@ func (e *Exporter) evidence(transcript [32]byte) ([]byte, error) {
 // handshake flight that arrives behind a record is handled once that
 // record has run. A hostile or garbled datagram is dropped without failing
 // the service (fail closed per connection), so Serve always returns nil.
-// Tests and the examples call it after each client step; a real
-// deployment would loop it.
+//
+// Passes on one exporter never overlap: a Serve called while another runs
+// waits for it, and by then that pass has sealed and sent the reply to
+// every datagram it took. So a second stub pumping the same exporter has
+// its hellos and finishes answered after the running pass. A handler that
+// calls back into its own exporter through a stub blocks on the running
+// pass: that is a call cycle, which core's execution slots already forbid
+// (manifests keep the call graph acyclic). Tests and the examples call
+// Serve after each client step; a real deployment would loop it.
 func (e *Exporter) Serve() error {
+	e.passMu.Lock()
+	defer e.passMu.Unlock()
 	for {
 		dg, ok := e.ep.Recv()
 		if !ok {
@@ -621,62 +669,37 @@ func (e *Exporter) Serve() error {
 	}
 }
 
-// collect runs one datagram through the channel layer: handshake flights
-// complete inline, and a record is opened into j, which the caller then
-// runs (j.raw stays nil when the datagram opened no record). On an
-// established session the first byte tells a record from a handshake
-// flight (see coalesce.go). A datagram that is not a record is no record
-// for this session: a peer that crashed and restarted (or was failed over
-// away and healed) reconnects from the same endpoint with a fresh hello,
-// and that — and only that — is accepted as a session reset. Anything else
-// is dropped, so garbage costs no handshake attempt and cannot reset a
-// live session; a replayed captured hello can at worst force a reset — a
-// denial of service the attacker already has by dropping traffic — never
-// decrypt or forge records.
+// collect runs one datagram through the channel layer: a peer with no
+// session sends handshake flights — its finish when a handshake is pending
+// for it, a hello otherwise — which complete inline, and a record is opened
+// into j, which the caller then runs (j.raw stays nil when the datagram
+// opened no record). On an established session the first byte tells a
+// record from a handshake flight (see coalesce.go). A datagram that is not
+// a record is no record for this session: a peer that crashed and
+// restarted (or was failed over away and healed) reconnects from the same
+// endpoint with a fresh hello, and that — and only that — is accepted as a
+// session reset. Anything else is dropped, so garbage costs no handshake
+// attempt and cannot reset a live session; a replayed captured hello can
+// at worst force a reset — a denial of service the attacker already has by
+// dropping traffic — never decrypt or forge records.
 func (e *Exporter) collect(dg netsim.Datagram, j *job) error {
-	e.mu.Lock()
-	ss := e.sessions[dg.From]
-	e.mu.Unlock()
-	if ss == nil {
-		var err error
-		if ss, err = e.handshake(dg); ss == nil {
-			return err
-		}
-	}
-	if IsCoalesced(dg.Payload) {
-		return e.openRecord(ss, dg, j)
-	}
-	if !securechan.HelloShaped(dg.Payload) {
-		return fmt.Errorf("distributed: datagram from %s is neither a record nor a hello: %w", dg.From, ErrTransport)
-	}
-	e.hsMu.Lock()
-	err := e.hello(dg)
-	e.hsMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("distributed: session reset from %s failed: %w", dg.From, err)
-	}
-	return nil
-}
-
-// handshake runs one handshake flight under hsMu: a client finish when a
-// handshake is pending for the peer, a client hello otherwise. When an
-// overlapping Serve pass established the peer's session first, the
-// datagram is a record on it, and handshake returns the session instead.
-func (e *Exporter) handshake(dg netsim.Datagram) (*sessState, error) {
-	e.hsMu.Lock()
-	defer e.hsMu.Unlock()
 	e.mu.Lock()
 	ss, pending := e.sessions[dg.From], e.pendings[dg.From]
 	e.mu.Unlock()
 	switch {
-	case ss != nil:
-		return ss, nil
-	case pending != nil:
-		return nil, e.complete(dg, pending)
-	default:
-		// New connection: client hello.
-		return nil, e.hello(dg)
+	case ss == nil && pending != nil:
+		return e.complete(dg, pending)
+	case ss == nil:
+		return e.hello(dg)
+	case IsCoalesced(dg.Payload):
+		return e.openRecord(ss, dg, j)
+	case !securechan.HelloShaped(dg.Payload):
+		return fmt.Errorf("distributed: datagram from %s is neither a record nor a hello: %w", dg.From, ErrTransport)
 	}
+	if err := e.hello(dg); err != nil {
+		return fmt.Errorf("distributed: session reset from %s failed: %w", dg.From, err)
+	}
+	return nil
 }
 
 // invoke runs one decoded request against the exported component, its
@@ -706,16 +729,16 @@ func (e *Exporter) invoke(req *Request, now time.Time) (msg core.Message, bb *[]
 		env.Msg.Data = env.Msg.CloneData()
 	}
 	// An unguarded delivery borrows the decrypted buffer for the
-	// synchronous duration of the handler (the DeliverEnvelope /
-	// DeliverShared borrow contract) — the zero-allocation path. Either
-	// way the frame's taint rides in, so the hosting system's policy
-	// judges the imported chain at its deliver boundary.
+	// synchronous duration of the handler (DeliverEnvelope's borrow
+	// contract) — the zero-allocation path. Either way the frame's taint
+	// rides in, so the hosting system's policy judges the imported chain
+	// at its deliver boundary.
 	msg, err = e.sys.DeliverEnvelope(e.target, env)
 	return msg, nil, err
 }
 
 // complete finishes a pending handshake with the client's finish flight.
-// The caller holds hsMu.
+// It runs inside a Serve pass.
 func (e *Exporter) complete(dg netsim.Datagram, pending *pendState) error {
 	s, err := pending.p.Complete(dg.Payload)
 	if err != nil {
@@ -743,7 +766,8 @@ func (e *Exporter) complete(dg netsim.Datagram, pending *pendState) error {
 
 // hello treats the datagram as a client hello: on success the peer's old
 // session and pending handshake (if any) are discarded and a new pending
-// handshake replaces them. The caller holds hsMu.
+// handshake replaces them. It runs inside a Serve pass, the only place the
+// exporter draws handshake randomness.
 func (e *Exporter) hello(dg netsim.Datagram) error {
 	cur := e.epoch.Load()
 	server, err := securechan.NewServer(securechan.ServerConfig{
@@ -793,11 +817,14 @@ var waiterPool = sync.Pool{New: func() any {
 // channel.
 //
 // A stub is safe for concurrent use and pipelines: any number of callers
-// may be in flight over the one session at once. Senders seal and transmit
-// under a short send lock; exactly one caller at a time holds the receive
-// token and pumps the wire, completing whichever parked caller each reply's
+// may be in flight over the one session at once. Senders queue their frames
+// at the coalescer, whose one flush leader at a time seals and transmits
+// them; exactly one caller at a time holds the receive token and pumps the
+// wire, opening records and completing whichever parked caller each reply's
 // correlation ID names, until its own reply arrives and it hands the token
-// on. See DESIGN.md "Wire format v3 and pipelining".
+// on. So the session's send half is only used by the flush leader and its
+// receive half by the token holder. See DESIGN.md "Wire format v3 and
+// pipelining".
 type Stub struct {
 	name string
 	cfg  StubConfig
@@ -813,10 +840,6 @@ type Stub struct {
 	gen       uint64
 	nextCorr  uint64
 	waiters   map[uint64]*waiter
-
-	// sendMu serializes seal+transmit so records hit the wire in send
-	// sequence order (the exporter's channel rejects reordered sequences).
-	sendMu sync.Mutex
 
 	// recvTok is the receive token: capacity 1, full when no caller is
 	// pumping. The holder is the demux loop.
@@ -871,7 +894,8 @@ type StubConfig struct {
 	// Pump, when set, is called whenever the stub expects the remote side
 	// to make progress (deliver + serve). The in-process tests wire it to
 	// the exporter's Serve; a real deployment has independent processes.
-	// It must tolerate concurrent invocation once callers pipeline.
+	// Stubs may call it from several goroutines at once; Serve passes on
+	// one exporter serialize themselves.
 	Pump func() error
 
 	// Clock is the time source remaining budgets are measured against
@@ -1174,9 +1198,9 @@ func (s *Stub) Ping() error {
 // transmitted — the wire is never burned on doomed work.
 //
 // Handle is safe for concurrent use: each call registers a correlation ID,
-// transmits under the send lock, and parks until the demux loop completes
-// it. The returned message's Data (when non-empty) is an owned copy the
-// caller may retain.
+// queues its frame for the coalescer's flush leader to seal and transmit,
+// and parks until the demux loop completes it. The returned message's Data
+// (when non-empty) is an owned copy the caller may retain.
 func (s *Stub) Handle(env core.Envelope) (core.Message, error) {
 	var budget time.Duration
 	if !env.Deadline.IsZero() {
@@ -1385,16 +1409,8 @@ func (s *Stub) drain(sess *securechan.Session, gen, ownCorr uint64) (res result,
 // Everything it keeps is owned: error texts are copied by formatting and a
 // non-empty payload is copied out of the pooled buffer.
 func (s *Stub) decodeReply(b []byte) result {
-	switch b[0] {
-	case statusDeadline:
-		// Rehydrate the typed error so errors.Is works across the wire.
-		return result{err: fmt.Errorf("remote: %s: %w", b[1:], core.ErrDeadline)}
-	case statusOverload:
-		return result{err: fmt.Errorf("remote: %s: %w", b[1:], core.ErrOverloaded)}
-	case statusPolicy:
-		return result{err: fmt.Errorf("remote: %s: %w", b[1:], core.ErrPolicy)}
-	case statusErr:
-		return result{err: fmt.Errorf("%w: %s", ErrRemote, b[1:])}
+	if b[0] != statusOK {
+		return result{err: statusError(b[0], b[1:])}
 	}
 	op, data, err := decodeCallInto(b[1:], &s.ops)
 	if err != nil {

@@ -132,14 +132,8 @@ func newFixture(t testing.TB, adversary netsim.Adversary, tamperRemote bool) *fi
 		RemoteEndpoint: "cloud",
 		Endpoint:       clientEP,
 		Rand:           cryptoutil.NewPRNG("laptop-hs"),
-		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
-		},
-		Pump: func() error { return f.exporter.Serve() },
+		VerifyServer:   f.verifyStore,
+		Pump:           func() error { return f.exporter.Serve() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +151,16 @@ func newFixture(t testing.TB, adversary netsim.Adversary, tamperRemote bool) *fi
 		t.Fatal(err)
 	}
 	return f
+}
+
+// verifyStore is the importer's trust decision: the cloud's evidence must
+// quote the genuine store's measurement under the pinned vendor key.
+func (f *fixture) verifyStore(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
+	q, err := core.DecodeQuote(evidence)
+	if err != nil {
+		return err
+	}
+	return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
 }
 
 // tamperedStore is a different binary (different version → measurement).
@@ -615,12 +619,14 @@ func TestDecodeFrameErrorPaths(t *testing.T) {
 		{name: "empty frame", in: nil},
 		{name: "flags only, traced", in: []byte{frameTraced}},
 		{name: "truncated span context", in: []byte{frameTraced, 1, 2, 3}},
-		{name: "span context then short call", in: append(append([]byte{frameTraced | frameCorr}, make([]byte, 16+8)...), 0)},
+		{name: "span context then short call", in: append(append([]byte{frameTraced | frameCorr, 0, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 8+8)...), 0)},
+		{name: "zero span context", in: append(append([]byte{frameTraced | frameCorr}, make([]byte, 16)...), withCorr(0, call...)[1:]...)},
 		{name: "untraced short call", in: withCorr(0, 0)},
 		{name: "no correlation id", in: append([]byte{0}, call...)},
 		{name: "truncated correlation id", in: []byte{frameCorr, 1, 2, 3}},
 		{name: "flags only, budgeted", in: []byte{frameBudget}},
 		{name: "truncated budget", in: []byte{frameBudget, 1, 2, 3}},
+		{name: "zero budget", in: append(append([]byte{frameBudget | frameCorr}, make([]byte, 8)...), withCorr(0, call...)[1:]...)},
 		{name: "budget overflow", in: append(append([]byte{frameBudget | frameCorr}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), withCorr(0, call...)[1:]...)},
 		{name: "unknown future flag", in: append([]byte{1<<5 | frameCorr}, withCorr(0, call...)[1:]...)},
 		{name: "flags only, tainted", in: withCorr(frameTaint)},
@@ -783,15 +789,9 @@ func TestExporterEpochGateAndEviction(t *testing.T) {
 			RemoteEndpoint: "cloud",
 			Endpoint:       f.net.Attach(client),
 			Rand:           cryptoutil.NewPRNG(client + "-hs"),
-			VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-				q, err := core.DecodeQuote(evidence)
-				if err != nil {
-					return err
-				}
-				return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
-			},
-			Pump:  func() error { return f.exporter.Serve() },
-			Epoch: func() uint64 { return epoch },
+			VerifyServer:   f.verifyStore,
+			Pump:           func() error { return f.exporter.Serve() },
+			Epoch:          func() uint64 { return epoch },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -866,14 +866,15 @@ func (h *holdFirstHellos) Intercept(d netsim.Datagram) []netsim.Datagram {
 	return []netsim.Datagram{d}
 }
 
-// TestConcurrentServePassesSerializeHandshakes pins the exporter's
-// handshake lock. Two stubs share one exporter, and their first pumps run
-// Serve together once both hellos are queued, so each pass takes one
-// hello; neither stub reads its response before both passes are done. The
-// first pass's response is held on the wire until the second pass answers
-// too or 100 ms pass: a second hello answered meanwhile drew from the
-// exporter's handshake randomness at the same time as the first, which is
-// caught on every run. Run with -race: the PRNG is unsynchronized.
+// TestConcurrentServePassesSerializeHandshakes pins that no two hellos are
+// answered at the same time. Two stubs share one exporter, and their first
+// pumps run Serve together once both hellos are queued; neither stub reads
+// its response before both passes are done. The first pass answers both
+// hellos while the second waits for it. The first response is held on the
+// wire until a second one joins it or 100 ms pass: a second hello answered
+// meanwhile would draw from the exporter's handshake randomness at the
+// same time as the first, which is caught on every run. Run with -race:
+// the PRNG is unsynchronized.
 func TestConcurrentServePassesSerializeHandshakes(t *testing.T) {
 	hold := &holdFirstHellos{from: "cloud", overlap: make(chan struct{})}
 	f := newFixture(t, hold, false)
@@ -888,13 +889,7 @@ func TestConcurrentServePassesSerializeHandshakes(t *testing.T) {
 			RemoteEndpoint: "cloud",
 			Endpoint:       f.net.Attach(client),
 			Rand:           cryptoutil.NewPRNG(client + "-hs"),
-			VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-				q, err := core.DecodeQuote(evidence)
-				if err != nil {
-					return err
-				}
-				return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
-			},
+			VerifyServer:   f.verifyStore,
 			Pump: func() error {
 				if !primed.Swap(true) {
 					queued.Done()
@@ -932,5 +927,52 @@ func TestConcurrentServePassesSerializeHandshakes(t *testing.T) {
 		if _, err := s.Handle(core.Envelope{Msg: core.Message{Op: "put", Data: []byte(kv)}}); err != nil {
 			t.Fatalf("put on session %d: %v", i, err)
 		}
+	}
+}
+
+// TestServePassesNeverOverlap pins that a Serve pass waits for the one
+// running on its exporter. A second stub's unbudgeted stall call is taken
+// off the exporter's endpoint by a pass the test goroutine runs, and its
+// handler sleeps 100 ms; only then does the stub's own pump run Serve. That
+// pass must wait for the first, which has sent the reply by the time it
+// lets go. A pass running beside it would find the endpoint dry, and the
+// stub would read the missing reply as a transport failure while its call
+// still ran.
+func TestServePassesNeverOverlap(t *testing.T) {
+	f := newFixture(t, nil, false)
+	var connected atomic.Bool
+	y, err := NewStub(StubConfig{
+		RemoteName:     "store",
+		RemoteEndpoint: "cloud",
+		Endpoint:       f.net.Attach("laptop-y"),
+		Rand:           cryptoutil.NewPRNG("laptop-y-hs"),
+		VerifyServer:   f.verifyStore,
+		Pump: func() error {
+			for connected.Load() && f.exporter.ep.Pending() != 0 {
+				time.Sleep(time.Millisecond)
+			}
+			return f.exporter.Serve()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	connected.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := y.Handle(core.Envelope{Msg: core.Message{Op: "stall"}})
+		done <- err
+	}()
+	for f.exporter.ep.Pending() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := f.exporter.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("stall call while another pass ran its record: %v", err)
 	}
 }

@@ -399,11 +399,13 @@ const RatchetInterval = 64
 
 // Session is one direction-aware record channel endpoint.
 //
-// Sessions are not safe for unsynchronized concurrent use: callers that
-// pipeline (internal/distributed) serialize Seal under a send lock and Open
-// under a receive lock. The cached AEADs and scratch buffers below exist for
-// that hot path — record sealing must not pay an AES key schedule, a
-// fmt.Sprintf, or a SHA-256 per record.
+// Sessions are not safe for unsynchronized concurrent use: one goroutine
+// at a time may seal, and one at a time may open. internal/distributed's
+// stub seals only as the coalescer's flush leader and opens only under its
+// receive token; its exporter does both inside its one Serve pass. The
+// cached AEADs and scratch buffers below exist for that hot path — record
+// sealing must not pay an AES key schedule, a fmt.Sprintf, or a SHA-256
+// per record.
 type Session struct {
 	initiator bool
 	sendKey   []byte
@@ -425,10 +427,11 @@ type Session struct {
 	sendPrefix [4]byte
 	recvPrefix [4]byte
 
-	// Reusable scratch for the per-record associated data and nonce, one
-	// per direction: pipelined stubs serialize sealing and opening under
-	// different locks (the send mutex vs. the receive token), so the two
-	// halves of a session run concurrently and must not share scratch.
+	// Reusable scratch for the per-record associated data, one per
+	// direction, and the nonce, which only sealing uses: a pipelined stub
+	// seals as flush leader while another caller opens under the receive
+	// token, so the two halves of a session run concurrently and must not
+	// share scratch.
 	// The AD scratch is a slice, not a fixed array, because coalesced
 	// records (SealToAD/OpenToAD) extend the AD with a caller header of up
 	// to a few hundred bytes; the slice keeps its grown capacity so the
