@@ -101,11 +101,7 @@ func run() error {
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("laptop"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], intel.Public(), auditedMeasurement)
+			return core.VerifyEvidence(evidence, tr[:], intel.Public(), auditedMeasurement)
 		},
 		Pump: exporter.Serve,
 	})

@@ -268,10 +268,12 @@ func FuzzDistributedFrame(f *testing.F) {
 // canonical form is the identity. Every input also runs as a batch frame
 // through a live stub and exporter, whose decode loop is DecodeBatch's: an
 // accepted batch must run exactly its readings and get one reply entry
-// each, and a refused one must fail the frame having run none. Seeds mix
-// well-formed batches, truncations at every field boundary, a valid
-// reading ahead of a truncated one, duplicate readings, reserved ops, and
-// whole v2/v3 request frames fed in as batch payloads.
+// each, and a refused one must fail the frame having run none. The payload
+// is a coalesced body of call frames, so seeds mix well-formed batches,
+// inputs that each break one field of that layout (the count, a sub-frame
+// length, an op length inside a sub-frame, the trailing bytes, a reserved
+// op), a valid reading ahead of a truncated one, duplicate readings, and
+// whole request frames fed in as batch payloads.
 func FuzzBatchFrameDecode(f *testing.F) {
 	one, _ := distributed.EncodeBatch([]distributed.Reading{{Op: "reading", Data: []byte("meter-1=\x05")}})
 	many, _ := distributed.EncodeBatch([]distributed.Reading{
@@ -288,18 +290,21 @@ func FuzzBatchFrameDecode(f *testing.F) {
 	f.Add(many)
 	f.Add(dup)
 	f.Add([]byte{})
-	f.Add([]byte{0})                                            // short count
-	f.Add([]byte{0, 0})                                         // zero count
-	f.Add([]byte{0xff, 0xff})                                   // count beyond MaxBatchReadings
-	f.Add([]byte{0, 2, 0, 1, 'x', 0, 0})                        // count not backed by payload
-	f.Add(one[:3])                                              // truncated at op length
-	f.Add(one[:5])                                              // truncated mid-op
-	f.Add(many[:len(many)-1])                                   // truncated mid-data
-	f.Add(append(append([]byte{}, one...), 0))                  // trailing byte
-	f.Add(append(append([]byte{}, many...), many...))           // duplicated batch payload
-	f.Add([]byte{0, 1, 0, 5, 0, 'b', 'a', 't', 'c', 'h', 0, 0}) // reserved op
-	// A valid put ahead of a truncated reading: it must not run.
-	f.Add([]byte{0, 2, 0, 3, 'p', 'u', 't', 0, 3, 'z', '=', '9', 0, 3, 'p', 'u', 't', 0, 5, 'z'})
+	f.Add([]byte{0})                                                  // short count
+	f.Add([]byte{0, 0})                                               // zero count
+	f.Add([]byte{1, 1, 0, 0, 0, 2, 0, 0})                             // count beyond MaxCoalesce
+	f.Add([]byte{0, 2, 0, 0, 0, 2, 0, 0})                             // count not backed by payload
+	f.Add(many[:28])                                                  // truncated in the third sub-frame length
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0})                                // sub-frame cuts the op length
+	f.Add([]byte{0, 1, 0, 0, 0, 3, 0, 5, 'p'})                        // sub-frame too short for its op
+	f.Add(one[:len(one)-1])                                           // truncated mid-data
+	f.Add([]byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0})                    // sub-frame length past the payload
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0})                                // zero-length sub-frame
+	f.Add(append(append([]byte{}, one...), 0))                        // trailing byte
+	f.Add(append(append([]byte{}, many...), many...))                 // duplicated batch payload
+	f.Add([]byte{0, 1, 0, 0, 0, 8, 0, 6, 0, 'b', 'a', 't', 'c', 'h'}) // reserved op
+	// A valid put z=9 ahead of a truncated reading: it must not run.
+	f.Add([]byte{0, 2, 0, 0, 0, 8, 0, 3, 'p', 'u', 't', 'z', '=', '9', 0, 0, 0, 7, 0, 3, 'p', 'u', 't', 'z'})
 	// Framing confusion: whole request frames, one carrying a batch, fed
 	// where a batch payload belongs.
 	f.Add(distributed.AppendRequest(nil, distributed.Request{

@@ -323,11 +323,7 @@ func New(cfg Config) (*Pool, error) {
 // gate every replica handshake must pass.
 func (p *Pool) verifier() func(ed25519.PublicKey, [32]byte, []byte) error {
 	return func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-		q, err := core.DecodeQuote(evidence)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrAttestation, err)
-		}
-		if err := core.VerifyQuote(q, tr[:], p.cfg.VendorKey, p.cfg.Measurement); err != nil {
+		if err := core.VerifyEvidence(evidence, tr[:], p.cfg.VendorKey, p.cfg.Measurement); err != nil {
 			return fmt.Errorf("%w: %v", ErrAttestation, err)
 		}
 		return nil

@@ -838,6 +838,7 @@ func TestMalformedBatchRefusedBeforeDispatch(t *testing.T) {
 	}{
 		{"nil batch", nil},
 		{"reserved op", []distributed.Reading{{Op: distributed.PingOp, Data: []byte("m")}}},
+		{"beyond MaxCoalesce", make([]distributed.Reading, distributed.MaxCoalesce+1)},
 	} {
 		if _, err := f.pool.DoBatch("k", tc.batch, nil, time.Time{}); !errors.Is(err, distributed.ErrTransport) {
 			t.Errorf("%s: err = %v, want ErrTransport", tc.name, err)

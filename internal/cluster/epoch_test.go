@@ -286,11 +286,7 @@ func (f *fixture) sideStub(replica, client string, epoch func() uint64) (*distri
 		Endpoint:       f.net.Attach(client),
 		Rand:           cryptoutil.NewPRNG(client + "-side"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meas)
 		},
 		Pump:  exp.Serve,
 		Epoch: epoch,

@@ -440,6 +440,12 @@ func TestQuoteEncodeDecodeRoundTrip(t *testing.T) {
 	if err := VerifyQuote(got, []byte("n"), vendor.Public(), q.Measurement); err != nil {
 		t.Errorf("decoded quote invalid: %v", err)
 	}
+	if err := VerifyEvidence(q.Encode(), []byte("n"), vendor.Public(), q.Measurement); err != nil {
+		t.Errorf("encoded quote refused as evidence: %v", err)
+	}
+	if err := VerifyEvidence(q.Encode()[:5], []byte("n"), vendor.Public(), q.Measurement); !errors.Is(err, ErrQuote) {
+		t.Errorf("truncated evidence: %v, want ErrQuote", err)
+	}
 	if got.AnchorKind != "sgx-qe" {
 		t.Errorf("kind = %q", got.AnchorKind)
 	}

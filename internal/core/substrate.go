@@ -191,6 +191,17 @@ func VerifyQuote(q Quote, nonce []byte, vendorPub ed25519.PublicKey, wantMeasure
 	return nil
 }
 
+// VerifyEvidence decodes handshake evidence as a quote and verifies it
+// (VerifyQuote): the check an attested handshake's verifier runs on the
+// peer's evidence, with the transcript hash as the nonce.
+func VerifyEvidence(evidence, nonce []byte, vendor ed25519.PublicKey, want [32]byte) error {
+	q, err := DecodeQuote(evidence)
+	if err != nil {
+		return err
+	}
+	return VerifyQuote(q, nonce, vendor, want)
+}
+
 // Encode serializes the quote for transport over untrusted networks.
 func (q Quote) Encode() []byte {
 	var out []byte

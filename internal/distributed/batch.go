@@ -12,31 +12,37 @@
 // a single reply carrying per-reading status — N invocations, two AEAD
 // passes total instead of 2N.
 //
-// Wire format of the batch payload (all integers big-endian):
+// The batch payload is a coalesced body (see coalesce.go) whose sub-frames
+// are call frames, so the record body's walkers, cutCoalBodyCount and
+// cutCoalSub, parse it one level down (all integers big-endian):
 //
-//	count   uint16                 1..MaxBatchReadings
+//	count   uint16                 1..MaxCoalesce
 //	repeat count times:
-//	  opLen  uint16; op   [opLen]byte    must not start with NUL
-//	  dataLen uint16; data [dataLen]byte
+//	  subLen uint32; sub [subLen]byte    a call frame (appendCall):
+//	    opLen uint16; op [opLen]byte     must not start with NUL
+//	    data  [subLen-2-opLen]byte
 //
 // No trailing bytes are allowed and the count must match exactly, so a
 // batch payload has exactly one encoding — ReencodeBatch is the identity
 // on every valid input, which is what the fuzz oracle checks.
 //
-// The reply payload (inside a statusOK reply whose op is BatchOp):
+// The reply payload (inside a statusOK reply whose op is BatchOp) is a
+// coalesced body too, its count echoing the request's, whose sub-frames
+// are reply bodies (appendReplyBody): a single call's reply frame without
+// its 8-byte correlation prefix — the status byte, then the reply's call
+// frame or the error text. Per-reading statuses reuse the reply status
+// codes, so errors.Is(err, core.ErrDeadline/ErrOverloaded/ErrPolicy) keeps
+// working per reading across the wire.
 //
-//	count   uint16                 echoes the request count
-//	repeat count times:
-//	  status  byte                 the per-reading status code
-//	  bodyLen uint16; body [bodyLen]byte
-//
-// where an OK body is a call frame (op + data) and an error body is the
-// error text. Per-reading statuses reuse the reply status codes, so
-// errors.Is(err, core.ErrDeadline/ErrOverloaded/ErrPolicy) keeps working
-// per reading across the wire.
+// A batch carries at most MaxCoalesce readings, the bound of every
+// coalesced body, so an unbudgeted frame holds the component's execution
+// slot for at most that many handler runs; ValidateBatch refuses a larger
+// batch before it is sent. Nothing else bounds a reading: its data, its
+// reply body and its error text travel whole, as a single call's do.
 package distributed
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -50,14 +56,6 @@ import (
 // exporter unpacks it at the channel layer's dispatch point, the exported
 // component only ever sees the individual readings.
 const BatchOp = "\x00batch"
-
-// MaxBatchReadings bounds the readings one batch frame may carry. The
-// bound keeps a hostile count from forcing large allocations before the
-// payload bytes back it up.
-const MaxBatchReadings = 4096
-
-// maxBatchBody bounds one per-reading reply body (a uint16 length field).
-const maxBatchBody = 1 << 16
 
 // Reading is one (op, data) invocation inside a batch: a core.Message, so
 // a decoded frame goes to core as it is.
@@ -73,15 +71,13 @@ type BatchResult struct {
 
 // AppendBatch appends the batch payload for readings onto dst
 // (allocation-free when dst has spare capacity) and returns the extended
-// slice. The caller must respect the codec bounds (reading count, op and
-// data lengths); EncodeBatch validates them.
+// slice. The caller must respect the codec bounds (reading count, op
+// length); EncodeBatch validates them.
 func AppendBatch(dst []byte, readings []Reading) []byte {
 	dst = append(dst, byte(len(readings)>>8), byte(len(readings)))
 	for _, r := range readings {
-		dst = append(dst, byte(len(r.Op)>>8), byte(len(r.Op)))
-		dst = append(dst, r.Op...)
-		dst = append(dst, byte(len(r.Data)>>8), byte(len(r.Data)))
-		dst = append(dst, r.Data...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(2+len(r.Op)+len(r.Data)))
+		dst = appendCall(dst, r.Op, r.Data)
 	}
 	return dst
 }
@@ -94,52 +90,35 @@ func EncodeBatch(readings []Reading) ([]byte, error) {
 	}
 	size := 2
 	for _, r := range readings {
-		size += 4 + len(r.Op) + len(r.Data)
+		size += 6 + len(r.Op) + len(r.Data)
 	}
 	return AppendBatch(make([]byte, 0, size), readings), nil
 }
 
 // ValidateBatch checks readings against the codec bounds: 1 to
-// MaxBatchReadings readings, each op and data at most 0xffff bytes, and no
-// op starting with NUL (reserved for the wire's own ops, PingOp and
-// BatchOp). The error wraps ErrTransport, as every codec refusal does, so
-// a caller that reads ErrTransport as a channel failure must run this
-// first: a malformed batch says nothing about the channel.
+// MaxCoalesce readings (a larger batch is the caller's to split), each op
+// at most 0xffff bytes (the call frame's op length field), and no op
+// starting with NUL (reserved for the wire's own ops, PingOp and BatchOp).
+// Data is unbounded, as a single call's is. The error wraps ErrTransport,
+// as every codec refusal does, so a caller that reads ErrTransport as a
+// channel failure must run this first: a malformed batch says nothing
+// about the channel.
 func ValidateBatch(readings []Reading) error {
 	if len(readings) == 0 {
 		return fmt.Errorf("empty batch: %w", ErrTransport)
 	}
-	if len(readings) > MaxBatchReadings {
-		return fmt.Errorf("batch of %d exceeds %d readings: %w", len(readings), MaxBatchReadings, ErrTransport)
+	if len(readings) > MaxCoalesce {
+		return fmt.Errorf("batch of %d exceeds %d readings: %w", len(readings), MaxCoalesce, ErrTransport)
 	}
 	for _, r := range readings {
-		if len(r.Op) > 0xffff || len(r.Data) > 0xffff {
-			return fmt.Errorf("reading op/data exceeds field bounds: %w", ErrTransport)
+		if len(r.Op) > 0xffff {
+			return fmt.Errorf("reading op exceeds its length field: %w", ErrTransport)
 		}
 		if len(r.Op) > 0 && r.Op[0] == 0 {
 			return fmt.Errorf("reading op %q is reserved: %w", r.Op, ErrTransport)
 		}
 	}
 	return nil
-}
-
-// cutBatchCount parses and bounds the leading reading count. Beyond the
-// static MaxBatchReadings bound, the count must be backed by at least the
-// minimum bytes per reading, so a forged count cannot force an allocation
-// the payload doesn't pay for.
-func cutBatchCount(b []byte) (int, []byte, error) {
-	if len(b) < 2 {
-		return 0, nil, fmt.Errorf("truncated batch count: %w", ErrTransport)
-	}
-	n := int(b[0])<<8 | int(b[1])
-	b = b[2:]
-	if n == 0 || n > MaxBatchReadings {
-		return 0, nil, fmt.Errorf("batch count %d out of range: %w", n, ErrTransport)
-	}
-	if len(b) < 4*n {
-		return 0, nil, fmt.Errorf("batch count %d not backed by payload: %w", n, ErrTransport)
-	}
-	return n, b, nil
 }
 
 // opCache turns one frame's op bytes into strings. A reading whose op
@@ -152,60 +131,37 @@ type opCache struct {
 
 func (c *opCache) op(b []byte) string {
 	if string(b) != c.last {
-		if c.ops != nil {
-			c.last = c.ops.intern(b)
-		} else {
-			c.last = string(b)
-		}
+		c.last = c.ops.intern(b)
 	}
 	return c.last
-}
-
-// cutReading parses one reading off the front of b. The reading's data
-// aliases b.
-func cutReading(b []byte, ops *opCache) (Reading, []byte, error) {
-	if len(b) < 2 {
-		return Reading{}, nil, fmt.Errorf("truncated reading op length: %w", ErrTransport)
-	}
-	on := int(b[0])<<8 | int(b[1])
-	b = b[2:]
-	if len(b) < on {
-		return Reading{}, nil, fmt.Errorf("truncated reading op: %w", ErrTransport)
-	}
-	if on > 0 && b[0] == 0 {
-		return Reading{}, nil, fmt.Errorf("reserved op in batch: %w", ErrTransport)
-	}
-	op := ops.op(b[:on])
-	b = b[on:]
-	if len(b) < 2 {
-		return Reading{}, nil, fmt.Errorf("truncated reading data length: %w", ErrTransport)
-	}
-	dn := int(b[0])<<8 | int(b[1])
-	b = b[2:]
-	if len(b) < dn {
-		return Reading{}, nil, fmt.Errorf("truncated reading data: %w", ErrTransport)
-	}
-	return Reading{Op: op, Data: b[:dn]}, b[dn:], nil
 }
 
 // decodeBatch appends the readings of one batch payload (see AppendBatch)
 // to dst. It is the one decode loop: DecodeBatch, and so the fuzz oracle,
 // runs it, and so does the exporter, with its interner and a pooled dst.
+// It walks the payload as a coalesced body, each sub-frame a call frame.
 // The readings' data aliases b. Truncated payloads, out-of-range counts,
-// reserved ops, and trailing bytes are all rejected with ErrTransport.
+// empty sub-frames, reserved ops, and trailing bytes are all rejected with
+// ErrTransport.
 func decodeBatch(b []byte, dst []Reading, ops *interner) ([]Reading, error) {
-	n, rest, err := cutBatchCount(b)
+	n, rest, err := cutCoalBodyCount(b)
 	if err != nil {
 		return dst, err
 	}
 	dst = slices.Grow(dst, n)
 	cache := opCache{ops: ops}
 	for i := 0; i < n; i++ {
-		var r Reading
-		if r, rest, err = cutReading(rest, &cache); err != nil {
+		var sub, op, data []byte
+		if sub, rest, err = cutCoalSub(rest); err != nil {
 			return dst, err
 		}
-		dst = append(dst, r)
+		if op, data, err = splitCall(sub); err != nil {
+			return dst, err
+		}
+		if len(op) > 0 && op[0] == 0 {
+			return dst, fmt.Errorf("reserved op in batch: %w", ErrTransport)
+		}
+		dst = append(dst, Reading{Op: cache.op(op), Data: data})
 	}
 	if len(rest) != 0 {
 		return dst, fmt.Errorf("%d trailing bytes after batch: %w", len(rest), ErrTransport)
@@ -273,32 +229,12 @@ func (e *Exporter) runBatch(req *Request, now time.Time) (core.Message, *[]byte,
 	fp := getBuf()
 	out := append((*fp)[:0], byte(len(readings)>>8), byte(len(readings)))
 	e.sys.DeliverBatch(e.target, frame, readings, func(reply core.Message, herr error) {
-		out = appendBatchEntry(out, reply, herr)
+		out = binary.BigEndian.AppendUint32(out, 0) // length, patched below
+		mark := len(out)
+		out = appendReplyBody(out, reply, herr)
+		binary.BigEndian.PutUint32(out[mark-4:], uint32(len(out)-mark))
 	})
 	return core.Message{Op: BatchOp, Data: out}, fp, nil
-}
-
-// appendBatchEntry appends one per-reading reply entry, its status mapped
-// from the handler error as a single call's reply is.
-func appendBatchEntry(dst []byte, msg core.Message, herr error) []byte {
-	if herr == nil && 2+len(msg.Op)+len(msg.Data) >= maxBatchBody {
-		herr = fmt.Errorf("reading reply exceeds batch entry bounds: %w", ErrTransport)
-	}
-	dst = append(dst, replyStatus(herr))
-	mark := len(dst)
-	dst = append(dst, 0, 0) // body length, patched below
-	if herr != nil {
-		text := herr.Error()
-		if len(text) >= maxBatchBody {
-			text = text[:maxBatchBody-1]
-		}
-		dst = append(dst, text...)
-	} else {
-		dst = appendCall(dst, msg.Op, msg.Data)
-	}
-	bn := len(dst) - mark - 2
-	dst[mark], dst[mark+1] = byte(bn>>8), byte(bn)
-	return dst
 }
 
 // HandleBatch proxies many readings across the channel in one sealed
@@ -328,38 +264,27 @@ func (s *Stub) HandleBatch(env core.Envelope, readings []Reading, results []Batc
 	return s.decodeBatchReply(msg.Data, len(readings), results)
 }
 
-// decodeBatchReply parses the batch reply payload into per-reading
-// results. OK payload data aliases b (the owned reply copy Handle made).
-// Ops go through one opCache, so a frame of one reply op interns it once.
+// decodeBatchReply parses the batch reply payload, a coalesced body of
+// reply bodies, into per-reading results. OK payload data aliases b (the
+// owned reply copy Handle made). Ops go through one opCache, so a frame
+// of one reply op interns it once.
 func (s *Stub) decodeBatchReply(b []byte, want int, results []BatchResult) ([]BatchResult, error) {
-	if len(b) < 2 {
-		return results, fmt.Errorf("truncated batch reply count: %w", ErrTransport)
+	n, rest, err := cutCoalBodyCount(b)
+	if err != nil {
+		return results, err
 	}
-	n := int(b[0])<<8 | int(b[1])
 	if n != want {
 		return results, fmt.Errorf("batch reply carries %d entries for %d readings: %w", n, want, ErrTransport)
 	}
-	rest := b[2:]
 	ops := opCache{ops: &s.ops}
 	for i := 0; i < n; i++ {
-		if len(rest) < 3 {
-			return results, fmt.Errorf("truncated batch reply entry: %w", ErrTransport)
+		var sub []byte
+		if sub, rest, err = cutCoalSub(rest); err != nil {
+			return results, err
 		}
-		status := rest[0]
-		bn := int(rest[1])<<8 | int(rest[2])
-		rest = rest[3:]
-		if len(rest) < bn {
-			return results, fmt.Errorf("truncated batch reply body: %w", ErrTransport)
-		}
-		body := rest[:bn]
-		rest = rest[bn:]
-		if status != statusOK {
-			results = append(results, BatchResult{Err: statusError(status, body)})
-			continue
-		}
-		op, data, err := splitCall(body)
-		if err != nil {
-			results = append(results, BatchResult{Err: err})
+		op, data, rerr := splitReply(sub)
+		if rerr != nil {
+			results = append(results, BatchResult{Err: rerr})
 			continue
 		}
 		m := core.Message{Op: ops.op(op)}

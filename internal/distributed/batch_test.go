@@ -46,6 +46,8 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchCodecRejects(t *testing.T) {
+	// valid is count 2, then [len 8][0 3 "put" "a=1"] and [len 6][0 3 "get" "a"]:
+	// its second reading starts at byte 14.
 	valid, err := EncodeBatch([]Reading{{Op: "put", Data: []byte("a=1")}, {Op: "get", Data: []byte("a")}})
 	if err != nil {
 		t.Fatal(err)
@@ -53,22 +55,25 @@ func TestBatchCodecRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		b    []byte
+		want string // the refusal that names the field
 	}{
-		{"empty", nil},
-		{"short count", []byte{0}},
-		{"zero count", []byte{0, 0}},
-		{"count beyond max", []byte{0xff, 0xff}},
-		{"count not backed", []byte{0, 2, 0, 1, 'x', 0, 0}},
-		{"truncated at op length", valid[:3]},
-		{"truncated mid op", valid[:5]},
-		{"truncated at data length", valid[:7]},
-		{"truncated mid data", valid[:len(valid)-1]},
-		{"trailing bytes", append(append([]byte{}, valid...), 0)},
-		{"reserved op", []byte{0, 1, 0, 5, 0, 'p', 'i', 'n', 'g', 0, 0}},
+		{"empty", nil, "truncated coalesced body count"},
+		{"short count", []byte{0}, "truncated coalesced body count"},
+		{"zero count", []byte{0, 0}, "count 0 out of range"},
+		{"count beyond MaxCoalesce", []byte{1, 1, 0, 0, 0, 2, 0, 0}, "count 257 out of range"},
+		{"count not backed", []byte{0, 2, 0, 0, 0, 2, 0, 0}, "not backed by payload"},
+		{"truncated in a sub-frame length", valid[:16], "truncated sub-frame length"},
+		{"truncated in an op length", []byte{0, 1, 0, 0, 0, 1, 0}, "short call frame"},
+		{"sub-frame too short for its op length", []byte{0, 1, 0, 0, 0, 3, 0, 5, 'p'}, "truncated op"},
+		{"truncated mid data", valid[:len(valid)-1], "truncated sub-frame:"},
+		{"sub-frame length past the payload", []byte{0, 1, 0xff, 0xff, 0xff, 0xff, 0}, "truncated sub-frame:"},
+		{"zero-length sub-frame", []byte{0, 1, 0, 0, 0, 0, 0}, "empty sub-frame"},
+		{"trailing byte", append(append([]byte{}, valid...), 0), "1 trailing bytes"},
+		{"reserved op", []byte{0, 1, 0, 0, 0, 6, 0, 4, 0, 'p', 'i', 'n'}, "reserved op"},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeBatch(tc.b); !errors.Is(err, ErrTransport) {
-			t.Errorf("%s: DecodeBatch = %v, want ErrTransport", tc.name, err)
+		if _, err := DecodeBatch(tc.b); !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeBatch = %v, want ErrTransport naming %q", tc.name, err, tc.want)
 		}
 		if _, err := ReencodeBatch(tc.b); err == nil {
 			t.Errorf("%s: ReencodeBatch accepted invalid input", tc.name)
@@ -81,7 +86,7 @@ func TestBatchCodecRejects(t *testing.T) {
 	if _, err := EncodeBatch([]Reading{{Op: PingOp}}); !errors.Is(err, ErrTransport) {
 		t.Errorf("EncodeBatch(reserved op) = %v, want ErrTransport", err)
 	}
-	if _, err := EncodeBatch(make([]Reading, MaxBatchReadings+1)); !errors.Is(err, ErrTransport) {
+	if _, err := EncodeBatch(make([]Reading, MaxCoalesce+1)); !errors.Is(err, ErrTransport) {
 		t.Errorf("EncodeBatch(oversized) = %v, want ErrTransport", err)
 	}
 }
@@ -122,6 +127,29 @@ func TestBatchEndToEnd(t *testing.T) {
 	// One sealed request carried all five readings.
 	if st := f.stub.Stats(); st.Issued != 1 {
 		t.Fatalf("batch issued %d sealed requests, want 1", st.Issued)
+	}
+}
+
+// TestBatchCarriesLargeReply: a reading's reply has no size bound of its
+// own, as a single call's has none, so a value over 64 KiB put by a
+// single call reads back whole through a batch.
+func TestBatchCarriesLargeReply(t *testing.T) {
+	f := newFixture(t, nil, false)
+	if err := f.stub.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("v"), 70<<10)
+	if _, err := f.stub.Handle(core.Envelope{Msg: core.Message{
+		Op: "put", Data: append([]byte("big="), big...),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	results, err := f.stub.HandleBatch(core.Envelope{}, []Reading{{Op: "get", Data: []byte("big")}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Err != nil || !bytes.Equal(results[0].Msg.Data, big) {
+		t.Fatalf("get big: %d bytes, %v; want %d bytes", len(results[0].Msg.Data), results[0].Err, len(big))
 	}
 }
 
@@ -205,24 +233,25 @@ func TestBatchMalformedPayloadFailsWholeFrame(t *testing.T) {
 	if err := f.stub.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-built garbage batch payload through the raw call path: the
-	// exporter must fail the frame with a transport-shaped remote error,
-	// not crash or half-execute.
+	// A hand-built count of 3 over one sub-frame's worth of bytes, through
+	// the raw call path: the exporter must fail the frame with a
+	// transport-shaped remote error, not crash or half-execute.
 	_, err := f.stub.Handle(core.Envelope{Msg: core.Message{
-		Op: BatchOp, Data: []byte{0, 3, 0, 1},
+		Op: BatchOp, Data: []byte{0, 3, 0, 0, 0, 1, 0},
 	}})
-	if !errors.Is(err, ErrRemote) {
-		t.Fatalf("malformed batch: want remote error, got %v", err)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "count 3 not backed by payload") {
+		t.Fatalf("malformed batch: want remote error naming the count, got %v", err)
 	}
-	// A valid put ahead of a truncated reading: the payload is parsed
-	// before any reading runs, so the failed frame ran nothing, and a
-	// retry of it cannot count the put twice.
+	// A valid put z=9 ahead of a reading whose sub-frame length claims one
+	// byte more than the payload holds: the payload is parsed before any
+	// reading runs, so the failed frame ran nothing, and a retry of it
+	// cannot count the put twice.
 	before := f.cloudSys.Stats().Invocations
 	_, err = f.stub.Handle(core.Envelope{Msg: core.Message{
-		Op: BatchOp, Data: []byte{0, 2, 0, 3, 'p', 'u', 't', 0, 3, 'z', '=', '9', 0, 3, 'p', 'u', 't', 0, 5, 'z'},
+		Op: BatchOp, Data: []byte{0, 2, 0, 0, 0, 8, 0, 3, 'p', 'u', 't', 'z', '=', '9', 0, 0, 0, 7, 0, 3, 'p', 'u', 't', 'z'},
 	}})
-	if !errors.Is(err, ErrRemote) {
-		t.Fatalf("valid prefix, truncated reading: want remote error, got %v", err)
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "truncated sub-frame:") {
+		t.Fatalf("valid prefix, truncated reading: want remote error naming the sub-frame, got %v", err)
 	}
 	if ran := f.cloudSys.Stats().Invocations - before; ran != 0 {
 		t.Fatalf("failed frame ran %d readings, want 0", ran)

@@ -33,7 +33,11 @@
 //
 // where each request sub is a complete v3 request frame (frameCorr set,
 // matching the header entry) and each reply sub is a complete reply frame
-// (8-byte correlation prefix, status byte, payload).
+// (8-byte correlation prefix, then the reply body: status byte, payload).
+// A batch payload (batch.go) is a coalesced body one level down whose subs
+// are call frames, and a batch reply one whose subs are reply bodies: the
+// wire has one multi-invocation framing, walked by cutCoalBodyCount and
+// cutCoalSub.
 //
 // The exporter tells a record from a handshake flight by its first byte,
 // and never trial-opens one as the other. Handshake flights start with a
@@ -61,8 +65,10 @@ import (
 // CoalMagic is the first byte of every coalesced record.
 const CoalMagic = 0xC3
 
-// MaxCoalesce bounds the sub-frames one coalesced record may carry — the
-// decode-side cap, and so the most one flush seals into a record.
+// MaxCoalesce bounds the sub-frames of every coalesced body — a record's,
+// and so the most one flush seals into a record, and a batch payload's,
+// and so the most readings one batch frame carries. It is the decode-side
+// cap: cutCoalBodyCount refuses a larger count.
 const MaxCoalesce = 256
 
 // IsCoalesced reports whether a datagram payload is a coalesced record.
@@ -661,7 +667,8 @@ func (e *Exporter) executeRecord(j *job) error {
 		}
 		body = binary.BigEndian.AppendUint32(body, 0) // length, patched below
 		mark := len(body)
-		body = appendReplyFrame(body, corr, msg, herr)
+		body = binary.BigEndian.AppendUint64(body, corr)
+		body = appendReplyBody(body, msg, herr)
 		binary.BigEndian.PutUint32(body[mark-4:], uint32(len(body)-mark))
 		if bb != nil {
 			putBuf(bb, msg.Data)
@@ -684,15 +691,4 @@ func (e *Exporter) executeRecord(j *job) error {
 	putBuf(hp, rh)
 	putBuf(j.buf, j.raw)
 	return err
-}
-
-// appendReplyFrame appends one complete reply frame — correlation prefix,
-// status byte, payload — to dst: one sub-frame of a reply record.
-func appendReplyFrame(dst []byte, corr uint64, msg core.Message, herr error) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, corr)
-	dst = append(dst, replyStatus(herr))
-	if herr != nil {
-		return append(dst, herr.Error()...)
-	}
-	return appendCall(dst, msg.Op, msg.Data)
 }

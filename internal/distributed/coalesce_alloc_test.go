@@ -86,11 +86,7 @@ func zeroAllocRecordPath(t *testing.T, depth int) {
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("alloc-cli"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meas)
 		},
 		Pump: func() error {
 			time.Sleep(200 * time.Microsecond)

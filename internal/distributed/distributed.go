@@ -97,7 +97,12 @@ type interner struct {
 
 const maxInternedOps = 256
 
+// intern returns the canonical string for b; a nil interner returns a
+// fresh string.
 func (i *interner) intern(b []byte) string {
+	if i == nil {
+		return string(b)
+	}
 	i.mu.Lock()
 	s, ok := i.m[string(b)] // compiler-recognized no-alloc lookup
 	if !ok {
@@ -113,7 +118,7 @@ func (i *interner) intern(b []byte) string {
 	return s
 }
 
-// appendCall serializes (op, data) onto dst; decodeCall parses it.
+// appendCall serializes (op, data) onto dst; splitCall parses it.
 func appendCall(dst []byte, op string, data []byte) []byte {
 	dst = append(dst, byte(len(op)>>8), byte(len(op)))
 	dst = append(dst, op...)
@@ -124,21 +129,11 @@ func encodeCall(op string, data []byte) []byte {
 	return appendCall(make([]byte, 0, 2+len(op)+len(data)), op, data)
 }
 
+// decodeCall is splitCall with the op as a string. The returned data
+// slice aliases b.
 func decodeCall(b []byte) (string, []byte, error) {
-	return decodeCallInto(b, nil)
-}
-
-// decodeCallInto is decodeCall with an optional interner for the op
-// string. The returned data slice aliases b.
-func decodeCallInto(b []byte, ops *interner) (string, []byte, error) {
 	op, data, err := splitCall(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if ops != nil {
-		return ops.intern(op), data, nil
-	}
-	return string(op), data, nil
+	return string(op), data, err
 }
 
 // splitCall splits a call frame into its op bytes and data, both aliasing b.
@@ -328,9 +323,12 @@ func decodeRequestInto(b []byte, req *Request, ops *interner) error {
 			return err
 		}
 	}
-	var err error
-	req.Op, req.Data, err = decodeCallInto(b, ops)
-	return err
+	op, data, err := splitCall(b)
+	if err != nil {
+		return err
+	}
+	req.Op, req.Data = ops.intern(op), data
+	return nil
 }
 
 // decodeTaint parses the frame's taint field. The field is canonical or
@@ -372,9 +370,10 @@ func decodeTaint(b []byte) ([]string, []byte, error) {
 	return taint, b, nil
 }
 
-// reply frames: the request's 8-byte correlation ID, then a status byte +
-// payload (op or error text). Deadline and overload failures get their own
-// status codes so errors.Is(err, core.ErrDeadline) / core.ErrOverloaded
+// reply frames: the request's 8-byte correlation ID, then the reply body,
+// a status byte + payload (a call frame, or the error text). Deadline and
+// overload failures get their own status codes so
+// errors.Is(err, core.ErrDeadline) / core.ErrOverloaded
 // keep working across the wire — the cluster layer routes on exactly that
 // distinction. Policy refusals likewise: a remote deny rehydrates as
 // core.ErrPolicy, a verdict about the request that the cluster layer must
@@ -387,8 +386,7 @@ const (
 	statusPolicy   = 4
 )
 
-// replyStatus maps a handler error to its reply status: a single call's
-// reply and each batch reading's entry carry the same codes.
+// replyStatus maps a handler error to its reply status.
 func replyStatus(herr error) byte {
 	switch {
 	case herr == nil:
@@ -416,6 +414,32 @@ func statusError(status byte, text []byte) error {
 		return fmt.Errorf("remote: %s: %w", text, core.ErrPolicy)
 	}
 	return fmt.Errorf("%w: %s", ErrRemote, text)
+}
+
+// appendReplyBody appends one reply body to dst: the status byte mapped
+// from herr, then the error text or msg's call frame. A single call's
+// reply frame is its correlation ID and then this body; a batch reply
+// carries one body per reading. A reply op too long for the call frame's
+// op length field fails the reply rather than be misframed.
+func appendReplyBody(dst []byte, msg core.Message, herr error) []byte {
+	if herr == nil && len(msg.Op) > 0xffff {
+		herr = fmt.Errorf("reply op exceeds its length field: %w", ErrTransport)
+	}
+	dst = append(dst, replyStatus(herr))
+	if herr != nil {
+		return append(dst, herr.Error()...)
+	}
+	return appendCall(dst, msg.Op, msg.Data)
+}
+
+// splitReply splits a non-empty reply body (appendReplyBody) into its call
+// frame's op bytes and data, both aliasing b, or returns the typed error a
+// failed reply carries.
+func splitReply(b []byte) (op, data []byte, err error) {
+	if b[0] != statusOK {
+		return nil, nil, statusError(b[0], b[1:])
+	}
+	return splitCall(b[1:])
 }
 
 // Monitor receives stub pipelining telemetry. telemetry.Metrics implements
@@ -960,7 +984,7 @@ func (s *Stub) CompName() string { return s.name }
 // it speaks, so a fleet operator can spot a mixed-version rollout from
 // `lateralctl cluster` output (the version is part of the stub's measured
 // code identity, exactly like shipping a different proxy binary).
-func (s *Stub) CompVersion() string { return "stub-1.3+wire" + strconv.Itoa(WireVersion) }
+func (s *Stub) CompVersion() string { return "stub-1.4+wire" + strconv.Itoa(WireVersion) }
 
 // Init is a no-op; Connect establishes the channel.
 func (s *Stub) Init(*core.Ctx) error { return nil }
@@ -1405,18 +1429,15 @@ func (s *Stub) drain(sess *securechan.Session, gen, ownCorr uint64) (res result,
 	}
 }
 
-// decodeReply parses a reply frame body (after the correlation prefix).
-// Everything it keeps is owned: error texts are copied by formatting and a
-// non-empty payload is copied out of the pooled buffer.
+// decodeReply parses a reply body (a reply frame after its correlation
+// prefix). Everything it keeps is owned: error texts are copied by
+// formatting and a non-empty payload is copied out of the pooled buffer.
 func (s *Stub) decodeReply(b []byte) result {
-	if b[0] != statusOK {
-		return result{err: statusError(b[0], b[1:])}
-	}
-	op, data, err := decodeCallInto(b[1:], &s.ops)
+	op, data, err := splitReply(b)
 	if err != nil {
 		return result{err: err}
 	}
-	msg := core.Message{Op: op}
+	msg := core.Message{Op: s.ops.intern(op)}
 	if len(data) > 0 {
 		msg.Data = append([]byte(nil), data...)
 	}

@@ -156,11 +156,7 @@ func newFixture(t testing.TB, adversary netsim.Adversary, tamperRemote bool) *fi
 // verifyStore is the importer's trust decision: the cloud's evidence must
 // quote the genuine store's measurement under the pinned vendor key.
 func (f *fixture) verifyStore(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-	q, err := core.DecodeQuote(evidence)
-	if err != nil {
-		return err
-	}
-	return core.VerifyQuote(q, tr[:], f.vendor.Public(), f.storeMeas)
+	return core.VerifyEvidence(evidence, tr[:], f.vendor.Public(), f.storeMeas)
 }
 
 // tamperedStore is a different binary (different version → measurement).
@@ -355,6 +351,25 @@ func TestCallFrameCodec(t *testing.T) {
 	}
 	if _, _, err := decodeCall([]byte{0, 9, 'x'}); !errors.Is(err, ErrTransport) {
 		t.Errorf("truncated op: %v", err)
+	}
+}
+
+// TestReplyBodyCodec: one reply body carries an OK call frame or a typed
+// error, and a reply op too long for the frame's u16 op length fails the
+// reply instead of being misframed.
+func TestReplyBodyCodec(t *testing.T) {
+	op, data, err := splitReply(appendReplyBody(nil, core.Message{Op: "doc", Data: []byte("v")}, nil))
+	if err != nil || string(op) != "doc" || string(data) != "v" {
+		t.Errorf("ok reply = %q %q %v", op, data, err)
+	}
+	late := fmt.Errorf("late: %w", core.ErrDeadline)
+	if _, _, err := splitReply(appendReplyBody(nil, core.Message{}, late)); !errors.Is(err, core.ErrDeadline) {
+		t.Errorf("deadline reply = %v, want ErrDeadline", err)
+	}
+	long := core.Message{Op: strings.Repeat("x", 0x10000)}
+	if _, _, err := splitReply(appendReplyBody(nil, long, nil)); !errors.Is(err, ErrRemote) ||
+		!strings.Contains(err.Error(), "reply op exceeds its length field") {
+		t.Errorf("reply op of 64 KiB = %v, want ErrRemote naming the op length", err)
 	}
 }
 

@@ -111,11 +111,7 @@ func e17Remote(tampered bool) (*core.System, *core.System, *distributed.Stub, *n
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("e17-laptop"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), audited)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), audited)
 		},
 		Pump: exporter.Serve,
 	})

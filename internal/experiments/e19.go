@@ -213,11 +213,7 @@ func (d *FleetDemo) Dial(replica, client string, epoch func() uint64) (*distribu
 		Endpoint:       d.Net.Attach(client),
 		Rand:           cryptoutil.NewPRNG("e19-side-" + client),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meas)
 		},
 		Pump:  exp.Serve,
 		Epoch: epoch,

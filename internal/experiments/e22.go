@@ -84,11 +84,7 @@ func e22Run(depth, calls int, rtt time.Duration, lat []time.Duration) (res e22Re
 		Endpoint:       net.Attach("laptop"),
 		Rand:           cryptoutil.NewPRNG("e22-cli"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meas)
 		},
 		Pump: func() error {
 			time.Sleep(rtt)

@@ -294,11 +294,7 @@ func e25Wire() (e25WireRun, error) {
 		Endpoint:       net.Attach("meter"),
 		Rand:           cryptoutil.NewPRNG("e25-client-hs"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meas)
 		},
 		Pump: exporter.Serve,
 	})

@@ -349,11 +349,7 @@ func (d *Deployment) Connect() error {
 	client, err := securechan.NewClient(securechan.ClientConfig{
 		Rand: cryptoutil.NewPRNG("meter-hs"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrRefusedPeer, err)
-			}
-			if err := core.VerifyQuote(q, tr[:], d.cpuVendor.Public(), GoodAnonymizerMeasurement()); err != nil {
+			if err := core.VerifyEvidence(evidence, tr[:], d.cpuVendor.Public(), GoodAnonymizerMeasurement()); err != nil {
 				return fmt.Errorf("%w: %v", ErrRefusedPeer, err)
 			}
 			return nil
@@ -368,11 +364,7 @@ func (d *Deployment) Connect() error {
 		Identity: d.serverID,
 		Evidence: d.anonymizerEvidence,
 		VerifyClient: func(evidence []byte, tr [32]byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrRefusedPeer, err)
-			}
-			if err := core.VerifyQuote(q, tr[:], d.socVendor.Public(), GoodMeterMeasurement()); err != nil {
+			if err := core.VerifyEvidence(evidence, tr[:], d.socVendor.Public(), GoodMeterMeasurement()); err != nil {
 				return fmt.Errorf("%w: %v", ErrRefusedPeer, err)
 			}
 			return nil

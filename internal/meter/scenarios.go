@@ -148,11 +148,7 @@ func PhishingCampaign(users int, lureRate float64, hardwareAuth bool, seed strin
 	// The utility's client-auth policy.
 	verifyClient := func(evidence []byte, tr [32]byte) error {
 		if hardwareAuth {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], socVendor.Public(), meterMeas)
+			return core.VerifyEvidence(evidence, tr[:], socVendor.Public(), meterMeas)
 		}
 		for _, pw := range passwords {
 			if string(evidence) == string(pw) {

@@ -207,11 +207,7 @@ func TestServerAttestationEvidence(t *testing.T) {
 	ccfg := ClientConfig{
 		Rand: cryptoutil.NewPRNG("c"),
 		VerifyServer: func(_ ed25519.PublicKey, tr [32]byte, evidence []byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), goodMeas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), goodMeas)
 		},
 	}
 	if _, _, err := handshake(t, ccfg, scfg); err != nil {
@@ -241,11 +237,7 @@ func TestClientAttestationRequired(t *testing.T) {
 		Rand:     cryptoutil.NewPRNG("s"),
 		Identity: id,
 		VerifyClient: func(evidence []byte, tr [32]byte) error {
-			q, err := core.DecodeQuote(evidence)
-			if err != nil {
-				return err
-			}
-			return core.VerifyQuote(q, tr[:], vendor.Public(), meterMeas)
+			return core.VerifyEvidence(evidence, tr[:], vendor.Public(), meterMeas)
 		},
 	}
 	good := ClientConfig{
